@@ -39,10 +39,12 @@ inline bool WriteMax(std::atomic<uint64_t>* target, uint64_t value) {
 
 }  // namespace internal
 
-/// Bellman-Ford relaxation functor. `visited` de-duplicates the output
+/// Bellman-Ford relaxation functor. `in_next` de-duplicates the output
 /// frontier within a round (a vertex relaxed by several sources enters the
-/// next frontier once).
+/// next frontier once). cond() is always true, so a pull scan could never
+/// stop early: dense rounds run dense-forward (core/edge_map.h).
 struct BellmanFordF {
+  static constexpr bool kNoEarlyExit = true;
   std::atomic<uint64_t>* dist;
   std::atomic<uint8_t>* in_next;
 

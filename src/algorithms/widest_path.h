@@ -19,8 +19,10 @@
 namespace sage {
 
 /// Widest-path relaxation: capacity through (s, d) is min(cap[s], w); take
-/// the max over incoming relaxations.
+/// the max over incoming relaxations. Like BellmanFordF, dense rounds run
+/// dense-forward.
 struct WidestPathF {
+  static constexpr bool kNoEarlyExit = true;
   std::atomic<uint64_t>* cap;
   std::atomic<uint8_t>* in_next;
 

@@ -5,19 +5,21 @@
 // Chunks are fixed-capacity vertex-id buffers. Each worker keeps a free
 // list; allocation reuses a free chunk or mints a new one. Release returns
 // the chunk to the *releasing* worker's list, so steady-state traversals
-// allocate nothing. Total live chunks are bounded by the number of groups
-// (O(P)) plus pool residue, keeping edgeMapChunked within O(n) words.
+// allocate nothing. A group takes its first chunk on its first emit, so
+// live chunks hold the output plus at most one partly filled chunk per
+// group (O(P) of them), keeping edgeMapChunked within O(n) words.
 //
-// Pools are keyed by chunk capacity (a per-traversal constant derived from
-// the graph's average degree). Earlier revisions kept a single pool and
-// reconfigured it in place on a capacity change, which raced when two
-// concurrent traversals over graphs with different average degrees hit
-// Get() at once - one traversal's free lists were drained and resized under
-// the other's feet. Keyed pools make Get() safe under concurrency; free
-// lists are indexed by Scheduler::shard_id() (every charging thread, pool
-// worker or driver, has its own slot) and keep a lock as a belt-and-braces
-// guard for the rare slot-exhaustion alias (uncontended in steady state,
-// so the cost is one cache-hot CAS per chunk).
+// Pools are keyed by chunk capacity (a per-traversal constant: n / 8P ids
+// rounded down to a power of two within [64, 4096], so it depends on the
+// graph's size and the worker count). Earlier revisions kept a single pool
+// and reconfigured it in place on a capacity change, which raced when two
+// concurrent traversals with different capacities hit Get() at once - one
+// traversal's free lists were drained and resized under the other's feet.
+// Keyed pools make Get() safe under concurrency; free lists are indexed by
+// Scheduler::shard_id() (every charging thread, pool worker or driver, has
+// its own slot) and keep a lock as a belt-and-braces guard for the rare
+// slot-exhaustion alias (uncontended in steady state, so the cost is one
+// cache-hot CAS per chunk).
 //
 // Memory accounting is per-ExecutionContext: every Alloc charges the
 // *current* context's MemoryTracker for the chunk's capacity - whether the
@@ -48,7 +50,7 @@ struct Chunk {
   size_t size = 0;
 
   size_t capacity() const { return data.size(); }
-  bool Fits(size_t k) const { return size + k <= data.size(); }
+  bool Full() const { return size == data.size(); }
   void Push(vertex_id v) {
     SAGE_DCHECK(size < data.size());
     data[size++] = v;

@@ -14,6 +14,20 @@
 //   bool updateAtomic(u, v, w);  applied in sparse (push) traversals
 //   bool cond(v);                "should v still be visited?"
 //
+// Direction optimization [8] picks a dense round when |U| + deg(U) exceeds
+// m / 20, betting that a pull scan stops at v's first successful update.
+// A functor whose cond() never turns false (the relaxation kernels:
+// Bellman-Ford, wBFS, widest path) loses that bet - every pull round would
+// read all m edges - so it declares
+//   static constexpr bool kNoEarlyExit = true;
+// and every dense round of it runs *dense-forward* instead (Ligra's
+// dense_forward): walk the frontier's members, apply cond/updateAtomic
+// along their out-edges, and set the next-round flags, for O(n + deg(U))
+// reads. That includes TraversalMode::kDenseOnly, and it needs no symmetric
+// graph. It relies on the contract sparse rounds already need: updateAtomic
+// returns true at most once per target per round, so each next-round flag
+// has a single writer. Functors that declare nothing keep the pull round.
+//
 // All variants charge the PSAM cost model: graph reads through the Graph
 // accessors, DRAM traffic for frontier flags and outputs, and report
 // intermediate allocations to the MemoryTracker (Table 5 of the paper).
@@ -21,6 +35,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -63,7 +78,7 @@ inline const char* SparseVariantName(SparseVariant v) {
 enum class TraversalMode : uint8_t {
   kAuto = 0,        // direction-optimizing (Beamer) - the default
   kSparseOnly = 1,  // always push
-  kDenseOnly = 2,   // always pull
+  kDenseOnly = 2,   // always dense: pull, or forward for kNoEarlyExit functors
 };
 
 /// Options controlling EdgeMap.
@@ -95,6 +110,17 @@ struct EdgeMapOptions {
 namespace internal {
 
 inline uint64_t u64(size_t x) { return static_cast<uint64_t>(x); }
+
+/// True when F declares `static constexpr bool kNoEarlyExit = true`: its
+/// cond() never stops a pull scan, so dense rounds run dense-forward.
+template <typename F>
+constexpr bool NoEarlyExit() {
+  if constexpr (requires { F::kNoEarlyExit; }) {
+    return F::kNoEarlyExit;
+  } else {
+    return false;
+  }
+}
 
 /// Sum of out-degrees over the frontier (charges the offset reads).
 template <typename GraphT>
@@ -144,6 +170,32 @@ VertexSubset EdgeMapDense(const GraphT& g, const VertexSubset& frontier,
   auto& cm = nvram::Cost();
   std::vector<uint8_t> next(n, 0);
   EdgeMapDenseRange(g, frontier, f, next, 0, n);
+  cm.ChargeWorkWrite(n / 8 + 1);  // output flag array, word-granular
+  size_t count =
+      reduce_add<size_t>(n, [&](size_t v) { return next[v] ? 1 : 0; });
+  return VertexSubset::Dense(n, std::move(next), count);
+}
+
+/// Dense-forward traversal (functors with kNoEarlyExit): push along the
+/// out-edges of the (sparse) frontier's members only, into a dense
+/// next-round flag array. Each next[v] has a single writer because
+/// updateAtomic succeeds at most once per target per round.
+template <typename GraphT, typename F>
+VertexSubset EdgeMapDenseForward(const GraphT& g, const VertexSubset& frontier,
+                                 F& f) {
+  const vertex_id n = g.num_vertices();
+  auto& cm = nvram::Cost();
+  const auto& ids = frontier.ids();
+  std::vector<uint8_t> next(n, 0);
+  parallel_for(0, ids.size(), [&](size_t i) {
+    const vertex_id u = ids[i];
+    uint64_t examined = 0;
+    g.MapNeighbors(u, [&](vertex_id, vertex_id v, weight_t w) {
+      ++examined;
+      if (f.cond(v) && f.updateAtomic(u, v, w)) next[v] = 1;
+    });
+    cm.ChargeWorkRead(examined, u64(u));  // cond probes
+  });
   cm.ChargeWorkWrite(n / 8 + 1);  // output flag array, word-granular
   size_t count =
       reduce_add<size_t>(n, [&](size_t v) { return next[v] ? 1 : 0; });
@@ -296,9 +348,13 @@ VertexSubset EdgeMapChunked(const GraphT& g, const VertexSubset& frontier,
   (void)check_total;
 
   // --- Work assignment into groups (lines 14-18). ---
-  const uint64_t chunk_capacity = std::max<uint64_t>(4096, gb_size);
   const uint64_t min_group_size = std::max<uint64_t>(4096, gb_size);
   const uint64_t p = static_cast<uint64_t>(num_workers());
+  // At most 8P groups, each holding at most one partly filled chunk of at
+  // most n / 8P ids, so chunk memory stays within |output| + n words. The
+  // power of two matches the pool's quantization (ChunkPool::Get).
+  const uint64_t chunk_capacity =
+      std::bit_floor(std::clamp<uint64_t>(u64(n) / (8 * p), 64, 4096));
   uint64_t group_size = std::max<uint64_t>((dU + 8 * p - 1) / (8 * p),
                                            min_group_size);
   uint64_t num_groups = (dU + group_size - 1) / group_size;
@@ -328,12 +384,13 @@ VertexSubset EdgeMapChunked(const GraphT& g, const VertexSubset& frontier,
           uint64_t d = g.degree_uncharged(u);
           uint64_t e_lo = b * gb_size;
           uint64_t e_hi = std::min<uint64_t>(d, e_lo + gb_size);
-          if (cur == nullptr || !cur->Fits(e_hi - e_lo)) {
-            chunks.push_back(pool.Alloc());
-            cur = chunks.back().get();
-          }
           auto emit = [&](vertex_id src, vertex_id v, weight_t w) {
             if (f.cond(v) && f.updateAtomic(src, v, w)) {
+              // A group takes a chunk only once it has something to emit.
+              if (cur == nullptr || cur->Full()) {
+                chunks.push_back(pool.Alloc());
+                cur = chunks.back().get();
+              }
               cur->Push(v);
               ++emitted;
             }
@@ -401,16 +458,18 @@ VertexSubset RunSparseVariant(const GraphT& g, const VertexSubset& frontier,
 /// Shard-parallel drive (EdgeMapOptions::shard_parallel): one dedicated
 /// driver thread per graph shard, each running the normal dense-range or
 /// sparse machinery over its shard's slice, sub-frontiers merged at the
-/// round boundary. Every driver binds the coordinator's ExecutionContext,
-/// so all charges land in the run's own cost model (in the driver's unique
-/// scheduler shard slot - counters stay exact, placement differs). Dense
-/// rounds partition destinations [vstart[s], vstart[s+1]); sparse rounds
-/// bucket the frontier by source shard, which keeps each driver's graph
-/// reads inside its own shard's segment.
+/// round boundary. EdgeMap hands it a dense frontier for pull rounds and a
+/// sparse one otherwise. Every driver binds the coordinator's
+/// ExecutionContext, so all charges land in the run's own cost model (in
+/// the driver's unique scheduler shard slot - counters stay exact,
+/// placement differs). Dense rounds partition destinations
+/// [vstart[s], vstart[s+1]); sparse rounds bucket the frontier by source
+/// shard, which keeps each driver's graph reads inside its own shard's
+/// segment.
 template <typename GraphT, typename F>
-VertexSubset EdgeMapShardParallel(const GraphT& g, VertexSubset& frontier,
-                                  F& f, bool use_dense,
-                                  const EdgeMapOptions& opts) {
+VertexSubset EdgeMapShardParallel(const GraphT& g,
+                                  const VertexSubset& frontier, F& f,
+                                  bool use_dense, const EdgeMapOptions& opts) {
   auto storage = g.storage();
   const auto vstarts = storage->shard_vertex_starts();
   const uint32_t k = storage->shard_count();
@@ -444,7 +503,6 @@ VertexSubset EdgeMapShardParallel(const GraphT& g, VertexSubset& frontier,
   if (use_dense) {
     SAGE_CHECK_MSG(g.symmetric(),
                    "dense (pull) traversal requires a symmetric graph");
-    frontier.ToDense();
     std::vector<uint8_t> next(n, 0);
     drive([&](uint32_t s) {
       EdgeMapDenseRange(g, frontier, f, next, vstarts[s], vstarts[s + 1]);
@@ -455,7 +513,6 @@ VertexSubset EdgeMapShardParallel(const GraphT& g, VertexSubset& frontier,
     return VertexSubset::Dense(n, std::move(next), count);
   }
 
-  frontier.ToSparse();
   const auto& ids = frontier.ids();
   // Shards own contiguous vertex ranges, so bucketing is a binary search
   // over the k+1 boundaries per frontier vertex.
@@ -515,17 +572,27 @@ VertexSubset EdgeMap(const GraphT& g, VertexSubset& frontier, F f,
   bool use_dense = opts.mode == TraversalMode::kDenseOnly ||
                    (opts.mode == TraversalMode::kAuto && m >= den &&
                     deg + frontier.size() > threshold);
+  // Only a pull round scans the whole edge region; sparse and dense-forward
+  // rounds walk the frontier's ids and read just their adjacency lists.
+  const bool pull = use_dense && !internal::NoEarlyExit<F>();
+  if (pull) {
+    frontier.ToDense();
+  } else {
+    frontier.ToSparse();
+  }
   if constexpr (!GraphT::kCompressed) {
     // Hand the upcoming round's page frontier to the advice thread before
     // traversal starts, so readahead overlaps with edge processing.
     if (opts.prefetcher != nullptr && opts.prefetcher->Covers(g)) {
-      if (use_dense) {
+      if (pull) {
         opts.prefetcher->EnqueueDenseWave();
       } else {
-        frontier.ToSparse();
         opts.prefetcher->EnqueueWave(frontier.ids());
       }
     }
+  }
+  if (use_dense && !pull) {
+    return internal::EdgeMapDenseForward(g, frontier, f);
   }
   if constexpr (!GraphT::kCompressed) {
     // Shard-parallel drive: one dedicated driver thread per shard of a
@@ -533,18 +600,15 @@ VertexSubset EdgeMap(const GraphT& g, VertexSubset& frontier, F f,
     if (opts.shard_parallel) {
       auto storage = g.storage();
       if (storage != nullptr && storage->shard_count() > 1) {
-        return internal::EdgeMapShardParallel(g, frontier, f, use_dense,
-                                              opts);
+        return internal::EdgeMapShardParallel(g, frontier, f, pull, opts);
       }
     }
   }
-  if (use_dense) {
+  if (pull) {
     SAGE_CHECK_MSG(g.symmetric(),
                    "dense (pull) traversal requires a symmetric graph");
-    frontier.ToDense();
     return internal::EdgeMapDense(g, frontier, f);
   }
-  frontier.ToSparse();
   return internal::RunSparseVariant(g, frontier, f, deg,
                                     opts.sparse_variant);
 }

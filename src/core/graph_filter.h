@@ -318,7 +318,9 @@ class GraphFilter {
     auto visit = [&](uint32_t word, uint32_t bit, vertex_id u) {
       if (!pred(v, u)) {
         w[word] &= ~(1ULL << bit);
-        dirty_[u] = 1;
+        // Many workers may mark one target; a relaxed store is still a
+        // plain byte move on x86.
+        std::atomic_ref<uint8_t>(dirty_[u]).store(1, std::memory_order_relaxed);
         ++cleared;
       }
     };

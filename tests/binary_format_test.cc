@@ -295,10 +295,14 @@ TEST(BinaryFormat, MappedRunsMatchTextRunsExactly) {
   ASSERT_TRUE(from_binary.ok());
   ExpectGraphsEqual(from_text.ValueOrDie(), from_binary.ValueOrDie());
 
-  RunContext ctx;  // kGraphNvram defaults
   RunParams params;
   params.source = 1;
-  for (const char* algo : {"bfs", "connectivity", "kcore", "pagerank"}) {
+  for (const std::string algo :
+       {"bfs", "connectivity", "kcore", "pagerank", "bellman-ford", "wbfs"}) {
+    RunContext ctx;  // kGraphNvram defaults
+    // Relaxation rounds race on writeMin, and which racer wins steers the
+    // next frontier: their counters reproduce exactly on one worker.
+    if (algo == "bellman-ford" || algo == "wbfs") ctx.num_threads = 1;
     auto a = AlgorithmRegistry::Run(algo, from_text.ValueOrDie(), ctx, params);
     auto b =
         AlgorithmRegistry::Run(algo, from_binary.ValueOrDie(), ctx, params);

@@ -1,7 +1,8 @@
 // Tests for edgeMap: all three sparse variants and the dense traversal
 // must compute identical BFS level sets; direction optimization must agree
 // with forced modes; edgeMapChunked must stay within O(n) intermediate
-// memory while edgeMapSparse/Blocked use Theta(sum deg) (Table 5).
+// memory while edgeMapSparse/Blocked use Theta(sum deg) (Table 5); dense
+// rounds of no-early-exit functors read only the frontier's lists.
 #include <atomic>
 #include <limits>
 #include <thread>
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algorithms/bellman_ford.h"
 #include "core/chunk_pool.h"
 #include "core/edge_map.h"
 #include "graph/compressed_graph.h"
@@ -244,6 +246,55 @@ TEST(EdgeMapMemory, ChunkedUsesLessIntermediateMemoryThanSparse) {
   uint64_t peak_chunked = PeakDuringFullStep(g, SparseVariant::kChunked);
   EXPECT_LT(peak_chunked, peak_sparse / 2);
   EXPECT_LT(peak_chunked, peak_blocked / 2);
+}
+
+// A functor whose pull scan cannot exit early (kNoEarlyExit) runs its dense
+// rounds forward: from half the vertices, a round the direction optimizer
+// sends dense reads only the frontier's lists plus the offset words
+// FrontierDegree charges - well under the m words a pull scan reads.
+TEST(EdgeMapDenseForward, DenseRoundReadsOnlyTheFrontiersLists) {
+  Scheduler::Reset(1);
+  Graph g = UniformRandomGraph(4096, 1 << 16, 5);  // unweighted, m ~ 32n
+  const vertex_id n = g.num_vertices();
+  std::vector<std::atomic<uint64_t>> dist(n);
+  std::vector<std::atomic<uint8_t>> in_next(n);
+  std::vector<vertex_id> half;
+  uint64_t list_words = 0;
+  for (vertex_id v = 0; v < n; ++v) {
+    dist[v].store(v % 2 == 0 ? 0 : kInfDist);
+    in_next[v].store(0);
+    if (v % 2 == 0) {
+      half.push_back(v);
+      list_words += 1 + g.degree_uncharged(v);
+    }
+  }
+  const uint64_t offset_words = half.size();
+  auto frontier = VertexSubset::Sparse(n, std::move(half));
+
+  auto& cm = nvram::Cost();
+  cm.SetAllocPolicy(nvram::AllocPolicy::kGraphNvram);
+  cm.ResetCounters();
+  auto next = EdgeMap(g, frontier, BellmanFordF{dist.data(), in_next.data()});
+  const uint64_t reads = cm.Totals().nvram_reads;
+  EXPECT_TRUE(next.is_dense());  // the optimizer chose a dense round
+  EXPECT_LE(reads, list_words + offset_words);
+  EXPECT_LT(reads, g.num_edges());
+
+  // Exactly the odd vertices with an even neighbor improve (to 1).
+  next.ToSparse();
+  std::vector<bool> in_out(n, false);
+  for (vertex_id v : next.ids()) in_out[v] = true;
+  for (vertex_id v = 0; v < n; ++v) {
+    bool expect = false;
+    if (v % 2 == 1) {
+      for (vertex_id u : g.NeighborsUncharged(v)) expect |= u % 2 == 0;
+    }
+    ASSERT_EQ(in_out[v], expect) << v;
+    if (expect) {
+      EXPECT_EQ(dist[v].load(), 1u) << v;
+    }
+  }
+  Scheduler::Reset(0);
 }
 
 TEST(EdgeMapCosts, TraversalNeverWritesNvram) {

@@ -13,6 +13,7 @@
 
 #include "api/registry.h"
 #include "graph/binary_format.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/prefetch.h"
 #include "nvram/execution_context.h"
@@ -250,18 +251,29 @@ TEST(Prefetcher, ConsecutiveDenseWavesSlideThroughTheSpan) {
 // The parity property: enabling prefetch may only change wall time and the
 // distinct prefetch counters, never an algorithm's summary or its PSAM
 // accounting. Anything else means the pipeline leaked into the cost model.
+// The image is weighted so the relaxation kernels run on the mapped graph
+// itself (an unweighted image would hand them an in-memory weighted twin
+// the pipeline does not cover), and their dense-forward rounds advise the
+// frontier's pages.
 TEST(Prefetcher, EngineRunsAreIdenticalWithPrefetchOnAndOff) {
-  Graph g = RmatGraph(10, 30000, 11);
+  Graph g = AddRandomWeights(RmatGraph(10, 30000, 11), 5);
   std::string path = TempPath("prefetch_parity.bsadj");
   ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
   auto mapped = MapBinaryGraph(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   Graph mg = mapped.TakeValue();
+  ASSERT_TRUE(mg.weighted());
 
-  for (const char* algo : {"bfs", "connectivity", "pagerank"}) {
+  for (const std::string algo :
+       {"bfs", "connectivity", "pagerank", "bellman-ford", "wbfs"}) {
     RunContext off;
     RunContext on;
     on.prefetch.enabled = true;
+    // Relaxation rounds race on writeMin, and which racer wins steers the
+    // next frontier: their counters reproduce exactly on one worker.
+    if (algo == "bellman-ford" || algo == "wbfs") {
+      off.num_threads = on.num_threads = 1;
+    }
     auto off_run = AlgorithmRegistry::Run(algo, mg, off);
     auto on_run = AlgorithmRegistry::Run(algo, mg, on);
     ASSERT_TRUE(off_run.ok()) << off_run.status().ToString();
@@ -273,7 +285,7 @@ TEST(Prefetcher, EngineRunsAreIdenticalWithPrefetchOnAndOff) {
     EXPECT_TRUE(b.prefetch_enabled);
     // PageRank iterates densely without EdgeMap, so it enqueues no waves;
     // the frontier-driven algorithms must.
-    if (std::string(algo) != "pagerank") {
+    if (algo != "pagerank") {
       EXPECT_GT(b.prefetch_waves, 0u) << algo;
     }
     EXPECT_EQ(a.summary, b.summary) << algo;

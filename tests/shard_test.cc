@@ -162,7 +162,8 @@ TEST(ShardParity, AlgorithmsMatchMonolithicBitForBit) {
 
   RunContext rctx;
   rctx.num_threads = 1;  // deterministic schedules on both sides
-  for (const char* algo : {"bfs", "connectivity", "pagerank"}) {
+  for (const char* algo :
+       {"bfs", "connectivity", "pagerank", "bellman-ford", "wbfs"}) {
     auto a = AlgorithmRegistry::Run(algo, mono_g.ValueOrDie(), rctx);
     auto b = AlgorithmRegistry::Run(algo, shard_g.ValueOrDie(), rctx);
     ASSERT_TRUE(a.ok()) << a.status().ToString();

@@ -12,6 +12,7 @@
 #include "algorithms/reference/sequential.h"
 #include "algorithms/wbfs.h"
 #include "algorithms/widest_path.h"
+#include "common/random.h"
 #include "graph/builder.h"
 #include "graph/compressed_graph.h"
 #include "graph/generators.h"
@@ -55,21 +56,46 @@ TEST_P(TraversalGraphs, BfsLevelsMatchReference) {
   EXPECT_EQ(BfsLevels(g, 0), ref::BfsLevels(g, 0));
 }
 
+// The relaxation kernels must give the same answers whichever direction
+// their rounds take: the optimizer's mix, all sparse, or all dense (which
+// runs dense-forward, since their functors declare kNoEarlyExit).
+struct ModeCase {
+  const char* name;
+  TraversalMode mode;
+};
+constexpr ModeCase kAllModes[] = {{"auto", TraversalMode::kAuto},
+                                  {"sparse-only", TraversalMode::kSparseOnly},
+                                  {"dense-only", TraversalMode::kDenseOnly}};
+
+EdgeMapOptions WithMode(TraversalMode mode) {
+  EdgeMapOptions opts;
+  opts.mode = mode;
+  return opts;
+}
+
 TEST_P(TraversalGraphs, WeightedBfsMatchesDijkstra) {
   Graph g = AddRandomWeights(GetParam().make(), 99);
-  EXPECT_EQ(WeightedBfs(g, 0), ref::Dijkstra(g, 0));
+  const auto expect = ref::Dijkstra(g, 0);
+  for (const ModeCase& c : kAllModes) {
+    EXPECT_EQ(WeightedBfs(g, 0, WithMode(c.mode)), expect) << c.name;
+  }
 }
 
 TEST_P(TraversalGraphs, BellmanFordMatchesDijkstra) {
   Graph g = AddRandomWeights(GetParam().make(), 17);
-  EXPECT_EQ(BellmanFord(g, 0), ref::Dijkstra(g, 0));
+  const auto expect = ref::Dijkstra(g, 0);
+  for (const ModeCase& c : kAllModes) {
+    EXPECT_EQ(BellmanFord(g, 0, WithMode(c.mode)), expect) << c.name;
+  }
 }
 
 TEST_P(TraversalGraphs, WidestPathBothVariantsMatchReference) {
   Graph g = AddRandomWeights(GetParam().make(), 31);
-  auto expect = ref::WidestPath(g, 0);
-  EXPECT_EQ(WidestPathBF(g, 0), expect);
-  EXPECT_EQ(WidestPathBucketed(g, 0), expect);
+  const auto expect = ref::WidestPath(g, 0);
+  for (const ModeCase& c : kAllModes) {
+    EXPECT_EQ(WidestPathBF(g, 0, WithMode(c.mode)), expect) << c.name;
+    EXPECT_EQ(WidestPathBucketed(g, 0, WithMode(c.mode)), expect) << c.name;
+  }
 }
 
 TEST_P(TraversalGraphs, BetweennessMatchesBrandes) {
@@ -127,6 +153,33 @@ TEST(Traversal, MultipleSourcesSweep) {
     ASSERT_EQ(WeightedBfs(g, src), ref::Dijkstra(g, src)) << src;
     ASSERT_EQ(BellmanFord(g, src), ref::Dijkstra(g, src)) << src;
   }
+}
+
+// Dense-forward rounds push along out-edges, so unlike pull rounds they do
+// not need a symmetric graph: on a directed graph every round can be dense.
+TEST(Traversal, RelaxationKernelsRunDenseOnDirectedGraphs) {
+  const vertex_id n = 500;
+  Random rng(7);
+  std::vector<WeightedEdge> edges;
+  for (uint64_t i = 0; i < 6000; ++i) {
+    edges.push_back({static_cast<vertex_id>(rng.ith_rand(3 * i) % n),
+                     static_cast<vertex_id>(rng.ith_rand(3 * i + 1) % n),
+                     static_cast<weight_t>(1 + rng.ith_rand(3 * i + 2) % 9)});
+  }
+  BuildOptions build;
+  build.symmetrize = false;
+  build.keep_weights = true;
+  auto built = GraphBuilder::Build(n, std::move(edges), build);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const Graph& g = built.ValueOrDie();
+  ASSERT_FALSE(g.symmetric());
+  const EdgeMapOptions dense = WithMode(TraversalMode::kDenseOnly);
+  const auto dist = ref::Dijkstra(g, 0);
+  EXPECT_EQ(BellmanFord(g, 0, dense), dist);
+  EXPECT_EQ(WeightedBfs(g, 0, dense), dist);
+  const auto width = ref::WidestPath(g, 0);
+  EXPECT_EQ(WidestPathBF(g, 0, dense), width);
+  EXPECT_EQ(WidestPathBucketed(g, 0, dense), width);
 }
 
 TEST(Traversal, NoNvramWritesAcrossAllTraversals) {
