@@ -1,25 +1,20 @@
-// Multi-shard graph backend: traversal throughput and NVRAM read balance
-// as one image is split into 1/2/4/8 edge-balanced .bsadj segments.
+// Multi-shard graph backend: BFS wall time and NVRAM read balance as one
+// image is split into 1/2/4/8 edge-balanced .bsadj segments, against the
+// same graph mapped as one monolithic .bsadj image.
 //
-// Every row maps the same RMAT input through a .bsadjx manifest and runs
-// BFS through the engine facade with the shard-parallel edgeMap drive
-// (EdgeMapOptions::shard_parallel) at scheduler width 1, so the k shard
-// driver threads are the only source of concurrency. As everywhere else
-// in this repo, the acceptance metric comes from the PSAM emulator, not
-// the host clock: the per-shard NVRAM read bins give the drive's modeled
-// critical path (busiest shard), and sum-over-max across shards is the
-// speedup k parallel segment drivers buy on real hardware. Wall-clock qps
-// is reported alongside but only shows the thread win when the host
-// actually has >= k cores (CI containers often pin this build to one).
-// Each row also reports how evenly the run's NVRAM graph reads spread
-// across the shards (max-shard over mean-shard words; 1.0 = perfectly
-// edge-balanced partitioning).
+// Every row runs BFS through the engine facade with the plain edgeMap at
+// the driver's scheduler width. A sharded image is assembled into one
+// contiguous CSR, so every row charges the same PSAM counters; the rows
+// differ only in wall time (`wall_vs_monolithic`, monolithic mean wall
+// over the row's) and in how evenly the run's NVRAM graph reads spread
+// across the shards (`read_balance_max_over_mean`: max-shard over
+// mean-shard words; 1.0 = perfectly edge-balanced, and 1.0 for the
+// monolithic image).
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -39,26 +34,58 @@ void RemoveShardedFiles(const std::string& manifest, uint32_t shards) {
   std::remove(manifest.c_str());
 }
 
+/// Max-shard over mean-shard NVRAM read words of one attributed BFS run
+/// (1.0 when the graph is not sharded). Attribution never perturbs the
+/// totals, so the measured rows are unaffected.
+double ReadBalance(const Graph& g, const Graph& weighted,
+                   const RunContext& rctx) {
+  auto run = AlgorithmRegistry::Run("bfs", g, weighted, rctx, RunParams{});
+  SAGE_CHECK_MSG(run.ok(), "%s", run.status().ToString().c_str());
+  const RunReport& report = run.ValueOrDie();
+  uint64_t max_reads = 0, sum_reads = 0;
+  for (const auto& shard : report.per_shard) {
+    max_reads = std::max(max_reads, shard.nvram_reads);
+    sum_reads += shard.nvram_reads;
+  }
+  return sum_reads > 0 ? static_cast<double>(max_reads) *
+                             static_cast<double>(report.per_shard.size()) /
+                             static_cast<double>(sum_reads)
+                       : 1.0;
+}
+
 }  // namespace
 
 SAGE_BENCHMARK(multi_shard,
-               "Multi-shard backend: shard-parallel BFS throughput and "
-               "per-shard NVRAM read balance over 1/2/4/8 segments") {
+               "Multi-shard backend: BFS wall time vs the monolithic image "
+               "and per-shard NVRAM read balance over 1/2/4/8 segments") {
   auto in = MakeBenchInput();
   ctx.SetScale(ScaleOf(in.graph));
 
   char tmpl[] = "/tmp/sage_bench_multi_shard_XXXXXX";
   char* dir = ::mkdtemp(tmpl);
   SAGE_CHECK_MSG(dir != nullptr, "mkdtemp failed for the shard images");
+  const RunContext rctx;
 
-  const int entry_workers = num_workers();
-  // Width 1: the shard drivers are the only concurrency, so the k-shard
-  // over 1-shard wall ratio isolates what the partitioned drive buys.
-  Scheduler::Reset(1);
+  const std::string mono_path = std::string(dir) + "/g.bsadj";
+  Status mono_written = WriteBinaryGraph(in.graph, mono_path);
+  SAGE_CHECK_MSG(mono_written.ok(), "%s", mono_written.ToString().c_str());
+  double mono_wall = 0.0;
+  {
+    auto mapped = MapBinaryGraph(mono_path);
+    SAGE_CHECK_MSG(mapped.ok(), "%s", mapped.status().ToString().c_str());
+    const Graph& g = mapped.ValueOrDie();
+    BenchRecord r =
+        ctx.MeasureAlgorithm("bfs monolithic", "bfs", g, in.weighted, rctx);
+    r.AddConfig("image", "bsadj");
+    mono_wall = r.wall.mean;
+    r.AddMetric("wall_vs_monolithic", 1.0);
+    r.AddMetric("read_balance_max_over_mean", 1.0);
+    ctx.Report(std::move(r));
+  }
+  std::remove(mono_path.c_str());
 
   const std::vector<uint32_t> shard_counts = {1, 2, 4, 8};
-  std::vector<double> walls;
-  std::vector<double> modeled_speedups;
+  std::vector<double> ratios;
   for (uint32_t k : shard_counts) {
     const std::string manifest =
         std::string(dir) + "/g" + std::to_string(k) + ".bsadjx";
@@ -68,67 +95,23 @@ SAGE_BENCHMARK(multi_shard,
     SAGE_CHECK_MSG(mapped.ok(), "%s", mapped.status().ToString().c_str());
     const Graph& g = mapped.ValueOrDie();
 
-    RunContext rctx;
-    rctx.edge_map.shard_parallel = true;
     BenchRecord r = ctx.MeasureAlgorithm(
         "bfs " + std::to_string(k) + " shard(s)", "bfs", g, in.weighted,
         rctx);
     r.AddConfig("shards", std::to_string(k));
-    r.AddConfig("drive", "shard-parallel");
-    double qps = r.wall.mean > 0 ? 1.0 / r.wall.mean : 0.0;
-    r.AddMetric("qps", qps);
-
-    // One extra attributed run for the balance metric: per-shard NVRAM
-    // read words from the report's shard bins (attribution never perturbs
-    // the totals, so the measured rows above are unaffected).
-    auto attributed =
-        AlgorithmRegistry::Run("bfs", g, in.weighted, rctx, RunParams{});
-    SAGE_CHECK_MSG(attributed.ok(), "%s",
-                   attributed.status().ToString().c_str());
-    const RunReport& report = attributed.ValueOrDie();
-    uint64_t max_reads = 0, sum_reads = 0;
-    for (const auto& shard : report.per_shard) {
-      max_reads = std::max(max_reads, shard.nvram_reads);
-      sum_reads += shard.nvram_reads;
-    }
-    double balance =
-        sum_reads > 0 ? static_cast<double>(max_reads) * report.per_shard.size() /
-                            static_cast<double>(sum_reads)
-                      : 1.0;
-    // Modeled shard-parallel speedup: the drive's graph reads per round
-    // are the per-shard bins, so its critical path is the busiest shard
-    // and sum/max is the speedup over one driver doing all the reads.
-    double modeled =
-        max_reads > 0 ? static_cast<double>(sum_reads) /
-                            static_cast<double>(max_reads)
-                      : 1.0;
-    r.AddMetric("read_balance_max_over_mean", balance);
-    r.AddMetric("modeled_speedup_vs_1shard", modeled);
-    if (!walls.empty() && walls.front() > 0 && r.wall.mean > 0) {
-      r.AddMetric("wall_speedup_vs_1shard", walls.front() / r.wall.mean);
-    }
-    walls.push_back(r.wall.mean);
-    modeled_speedups.push_back(modeled);
+    const double ratio = r.wall.mean > 0 ? mono_wall / r.wall.mean : 0.0;
+    r.AddMetric("wall_vs_monolithic", ratio);
+    r.AddMetric("read_balance_max_over_mean",
+                ReadBalance(g, in.weighted, rctx));
+    ratios.push_back(ratio);
     ctx.Report(std::move(r));
     RemoveShardedFiles(manifest, k);
   }
   ::rmdir(dir);
-  Scheduler::Reset(entry_workers);
 
-  if (modeled_speedups.size() == shard_counts.size()) {
-    ctx.NoteF("modeled shard-parallel BFS speedup over 1 shard (per-shard "
-              "read critical path): 2 shards %4.2fx, 4 shards %4.2fx, "
-              "8 shards %4.2fx (acceptance: >= 1.5x at 4 shards)",
-              modeled_speedups[1], modeled_speedups[2],
-              modeled_speedups[3]);
-    ctx.NoteF("wall speedup over 1 shard: 2 shards %4.2fx, 4 shards "
-              "%4.2fx, 8 shards %4.2fx (host has %d hardware threads; "
-              "the driver-thread win needs >= k cores)",
-              walls[0] / std::max(walls[1], 1e-12),
-              walls[0] / std::max(walls[2], 1e-12),
-              walls[0] / std::max(walls[3], 1e-12),
-              static_cast<int>(std::thread::hardware_concurrency()));
-  }
+  ctx.NoteF("BFS wall vs the monolithic image at width %d: 1 shard %4.2fx, "
+            "2 shards %4.2fx, 4 shards %4.2fx, 8 shards %4.2fx",
+            num_workers(), ratios[0], ratios[1], ratios[2], ratios[3]);
 }
 
 }  // namespace sage::bench

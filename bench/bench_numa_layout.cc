@@ -6,11 +6,6 @@
 //                                           6.2x better than interleaved)
 // Here the layouts drive the emulated NUMA model; the reported model time
 // shows the same ordering and ratios of the same magnitude.
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -33,31 +28,6 @@ void RunScan(const Graph& g) {
   });
   cm.ChargeWorkWrite(g.num_vertices());
   volatile uint64_t sink = counts[0];
-  (void)sink;
-}
-
-/// The same scan, driven the way the shard-parallel edgeMap drives a
-/// multi-shard graph: one pass per shard with the scanning thread bound to
-/// that shard (ScopedGraphShardBinding), so kShardBound sees the driver on
-/// its segment's socket. Sequential per shard on the calling thread - a
-/// parallel_for would hand vertices to pool workers that don't carry the
-/// binding. Charges are identical to RunScan; only placement differs.
-void RunShardedScan(const Graph& g) {
-  auto& cm = nvram::Cost();
-  auto storage = g.storage();
-  const auto vstarts = storage->shard_vertex_starts();
-  uint64_t total = 0;
-  for (uint32_t s = 0; s < storage->shard_count(); ++s) {
-    nvram::ScopedGraphShardBinding bind(s);
-    for (uint64_t vi = vstarts[s]; vi < vstarts[s + 1]; ++vi) {
-      vertex_id v = static_cast<vertex_id>(vi);
-      uint64_t c = 0;
-      g.MapNeighbors(v, [&](vertex_id, vertex_id, weight_t) { ++c; });
-      total += c;
-    }
-  }
-  cm.ChargeWorkWrite(g.num_vertices());
-  volatile uint64_t sink = total;
   (void)sink;
 }
 
@@ -106,61 +76,6 @@ SAGE_BENCHMARK(numa_layout,
             secs[0] / secs[2]);
   ctx.NoteF("interleaved / replicated : %5.2fx   (paper: 6.2x)",
             secs[1] / secs[2]);
-
-  // --- Multi-shard pairing: segments bound whole to NUMA nodes --------
-  // A sharded image can bind each segment to one socket (kShardBound): a
-  // driver thread pinned to its shard's node reads locally, where page
-  // interleaving makes ~half of every thread's reads remote. Both rows
-  // run the identical shard-by-shard bound scan over the same assembled
-  // mapping; only the layout (and so the remote fraction in the emulated
-  // device time) differs.
-  char tmpl[] = "/tmp/sage_bench_numa_shard_XXXXXX";
-  if (char* dir = ::mkdtemp(tmpl); dir != nullptr) {
-    const uint32_t kShards = 4;
-    const std::string manifest = std::string(dir) + "/g.bsadjx";
-    Status written = WriteShardedGraph(in.graph, manifest, kShards);
-    auto mapped = written.ok() ? MapShardedGraph(manifest)
-                               : Result<Graph>(std::move(written));
-    if (mapped.ok()) {
-      const Graph& sharded = mapped.ValueOrDie();
-      cm.SetGraphShards(sharded.storage()->shard_edge_starts());
-      struct ShardCase {
-        const char* name;
-        const char* layout_name;
-        nvram::GraphLayout layout;
-      };
-      const ShardCase shard_cases[] = {
-          {"sharded, segments shard-bound", "shard-bound",
-           nvram::GraphLayout::kShardBound},
-          {"sharded, pages interleaved", "interleaved",
-           nvram::GraphLayout::kInterleaved},
-      };
-      std::vector<double> shard_secs;
-      for (const auto& c : shard_cases) {
-        cm.SetGraphLayout(c.layout);
-        BenchRecord r =
-            ctx.MeasureFn(c.name, [&] { RunShardedScan(sharded); });
-        r.config = {{"layout", c.layout_name},
-                    {"sockets", "both"},
-                    {"shards", std::to_string(kShards)}};
-        shard_secs.push_back(r.device_seconds);
-        ctx.Report(std::move(r));
-      }
-      cm.SetGraphShards({});
-      ctx.NoteF("sharded: interleaved / shard-bound : %5.2fx "
-                "(binding whole segments keeps same-shard reads local)",
-                shard_secs[1] / std::max(shard_secs[0], 1e-12));
-    } else {
-      ctx.NoteF("sharded pairing skipped: %s",
-                mapped.status().ToString().c_str());
-    }
-    for (uint32_t s = 0; s < kShards; ++s) {
-      std::remove((std::string(dir) + "/g.shard" + std::to_string(s) +
-                   ".bsadj").c_str());
-    }
-    std::remove(manifest.c_str());
-    ::rmdir(dir);
-  }
 
   cm.SetGraphLayout(prev_layout);
   cm.SetAllocPolicy(prev_policy);

@@ -67,9 +67,9 @@ void PrintUsage() {
       "[-shards K]\n"
       "-convert-sharded splits the graph into K edge-balanced .bsadj\n"
       "segments plus a .bsadjx manifest (default K=4); a .bsadjx -graph\n"
-      "input opens the assembled multi-shard mapping, reports per-shard\n"
-      "NVRAM counters in -json, and honors -shard-parallel (one edgeMap\n"
-      "driver thread per shard).\n"
+      "input opens the assembled multi-shard mapping, runs bit-identical\n"
+      "to the monolithic image, and reports per-shard NVRAM counters in\n"
+      "-json.\n"
       "-updates applies an edge-update stream ('u v [w]' inserts, '- u v'\n"
       "removes) as a DRAM delta over the loaded graph before the run;\n"
       "-compact merges the delta into the base (rewriting a mapped .bsadj\n"
@@ -162,8 +162,6 @@ int main(int argc, char** argv) {
   ctx.num_threads = static_cast<int>(cmd.GetInt("threads", 0));
   // Page-frontier prefetching; only effective with a mapped .bsadj graph.
   ctx.prefetch.enabled = cmd.Has("prefetch");
-  // Shard-parallel edgeMap drive; only effective on a .bsadjx graph.
-  ctx.edge_map.shard_parallel = cmd.Has("shard-parallel");
   // Apply the thread budget before loading so generation/building honor it
   // too (the run itself would apply it, but only after the graph exists).
   if (ctx.num_threads > 0) Scheduler::Reset(ctx.num_threads);

@@ -194,9 +194,8 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
                            ? nvram::GraphResidence::kMappedNvram
                            : nvram::GraphResidence::kPolicy);
   // Multi-shard storage: register the shard boundaries so the run's NVRAM
-  // graph traffic is also binned per shard (and kShardBound placement
-  // resolves). Attribution is a side array; the totals the parity tests
-  // pin are untouched.
+  // graph traffic is also binned per shard. Attribution is a side array;
+  // the totals the parity tests pin are untouched.
   if (auto storage = g.storage();
       storage != nullptr && storage->shard_count() > 0) {
     cm.SetGraphShards(storage->shard_edge_starts());

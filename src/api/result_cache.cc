@@ -69,8 +69,7 @@ std::string ResultCache::CanonicalKey(uint64_t epoch,
   key += "|t=" + std::to_string(ctx.num_threads);
   key += "|em=" +
          std::to_string(static_cast<int>(ctx.edge_map.sparse_variant)) + "," +
-         std::to_string(static_cast<int>(ctx.edge_map.mode)) + "," +
-         std::to_string(ctx.edge_map.dense_threshold_den);
+         std::to_string(static_cast<int>(ctx.edge_map.mode));
   // Algorithm knobs: only what this algorithm consumes, so runs differing
   // in an ignored field collapse to one entry.
   if (info.needs_source) key += "|src=" + std::to_string(params.source);

@@ -111,7 +111,8 @@ struct RunParams {
   /// set cover; 0 = default.
   uint32_t filter_block_size = 0;
   /// Seed for weights synthesized when a weighted algorithm runs on an
-  /// unweighted graph (uniform in [1, 99], matching the CLI's behavior).
+  /// unweighted graph (AddRandomWeights: uniform integers in
+  /// [1, max(2, ceil(log2 n)))).
   uint64_t weight_seed = 99;
 };
 

@@ -37,9 +37,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <exception>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/chunk_pool.h"
@@ -85,31 +83,22 @@ enum class TraversalMode : uint8_t {
 struct EdgeMapOptions {
   SparseVariant sparse_variant = SparseVariant::kChunked;
   TraversalMode mode = TraversalMode::kAuto;
-  /// Switch to dense when |U| + deg(U) > m / dense_threshold_den. The
-  /// direction optimizer only engages once m >= dense_threshold_den; tiny
-  /// graphs stay on the sparse path (the truncated threshold would
-  /// otherwise send nearly every frontier dense). 0 is treated as 1.
-  size_t dense_threshold_den = 20;
   /// Page-frontier prefetch pipeline for mapped graphs (graph/prefetch.h).
   /// When set and covering `g`, each round's frontier is enqueued before
   /// traversal so madvise(MADV_WILLNEED) advice runs one wave ahead of
   /// compute. Not owned; may be null (the default - no prefetch).
   Prefetcher* prefetcher = nullptr;
-  /// Multi-shard graphs only (storage shard_count() > 1): drive each round
-  /// with one dedicated thread per shard - dense rounds partition the
-  /// destination vertices by shard, sparse rounds bucket the frontier by
-  /// source shard - and merge the sub-frontiers at the round boundary.
-  /// Opt-in: the shard drivers interleave updates in a different order
-  /// than the single-driver path, so order-sensitive functors (writeMin
-  /// races) may resolve differently and the per-round charge *placement*
-  /// shifts between threads; leave off where bit-identical parity with the
-  /// monolithic drive matters (the default, pinned by ShardParity).
-  bool shard_parallel = false;
 };
 
 namespace internal {
 
 inline uint64_t u64(size_t x) { return static_cast<uint64_t>(x); }
+
+/// Beamer's rule: a round goes dense when |U| + deg(U) > m /
+/// kDenseThresholdDen. The direction optimizer only engages once
+/// m >= kDenseThresholdDen; tiny graphs stay on the sparse path (the
+/// truncated threshold would otherwise send nearly every frontier dense).
+inline constexpr uint64_t kDenseThresholdDen = 20;
 
 /// True when F declares `static constexpr bool kNoEarlyExit = true`: its
 /// cond() never stops a pull scan, so dense rounds run dense-forward.
@@ -136,18 +125,16 @@ uint64_t FrontierDegree(const GraphT& g, const VertexSubset& frontier) {
                               [&](size_t i) { return g.degree(ids[i]); });
 }
 
-/// Pull-scans destination vertices [lo, hi) of a dense round into the
-/// shared `next` flag array. Charges exactly what the full-range dense
-/// traversal charges for those vertices, so EdgeMapDense(= one [0, n)
-/// call) and the shard-parallel drive (one call per shard range) are the
-/// same accounting.
+/// Dense (pull) traversal: for every vertex v with cond(v), scan neighbors
+/// until an update succeeds or cond(v) becomes false.
 template <typename GraphT, typename F>
-void EdgeMapDenseRange(const GraphT& g, const VertexSubset& frontier, F& f,
-                       std::vector<uint8_t>& next, vertex_id lo,
-                       vertex_id hi) {
+VertexSubset EdgeMapDense(const GraphT& g, const VertexSubset& frontier,
+                          F& f) {
+  const vertex_id n = g.num_vertices();
   auto& cm = nvram::Cost();
   const auto& in_frontier = frontier.flags();
-  parallel_for(lo, hi, [&](size_t vi) {
+  std::vector<uint8_t> next(n, 0);
+  parallel_for(0, n, [&](size_t vi) {
     vertex_id v = static_cast<vertex_id>(vi);
     if (!f.cond(v)) return;
     uint64_t examined = 0;
@@ -159,17 +146,6 @@ void EdgeMapDenseRange(const GraphT& g, const VertexSubset& frontier, F& f,
     // Frontier-flag probes are DRAM work reads; one write if v activated.
     cm.ChargeWorkRead(examined, u64(vi));
   });
-}
-
-/// Dense (pull) traversal: for every vertex v with cond(v), scan neighbors
-/// until an update succeeds or cond(v) becomes false.
-template <typename GraphT, typename F>
-VertexSubset EdgeMapDense(const GraphT& g, const VertexSubset& frontier,
-                          F& f) {
-  const vertex_id n = g.num_vertices();
-  auto& cm = nvram::Cost();
-  std::vector<uint8_t> next(n, 0);
-  EdgeMapDenseRange(g, frontier, f, next, 0, n);
   cm.ChargeWorkWrite(n / 8 + 1);  // output flag array, word-granular
   size_t count =
       reduce_add<size_t>(n, [&](size_t v) { return next[v] ? 1 : 0; });
@@ -437,117 +413,6 @@ VertexSubset EdgeMapChunked(const GraphT& g, const VertexSubset& frontier,
   return VertexSubset::Sparse(n, std::move(out));
 }
 
-/// Runs one sparse variant over a sub-frontier (shared by EdgeMap and the
-/// shard-parallel drive). `frontier_degree` is the sub-frontier's own
-/// out-degree sum.
-template <typename GraphT, typename F>
-VertexSubset RunSparseVariant(const GraphT& g, const VertexSubset& frontier,
-                              F& f, uint64_t frontier_degree,
-                              SparseVariant variant) {
-  switch (variant) {
-    case SparseVariant::kSparse:
-      return EdgeMapSparse(g, frontier, f, frontier_degree);
-    case SparseVariant::kBlocked:
-      return EdgeMapBlocked(g, frontier, f, frontier_degree);
-    case SparseVariant::kChunked:
-      break;
-  }
-  return EdgeMapChunked(g, frontier, f, frontier_degree);
-}
-
-/// Shard-parallel drive (EdgeMapOptions::shard_parallel): one dedicated
-/// driver thread per graph shard, each running the normal dense-range or
-/// sparse machinery over its shard's slice, sub-frontiers merged at the
-/// round boundary. EdgeMap hands it a dense frontier for pull rounds and a
-/// sparse one otherwise. Every driver binds the coordinator's
-/// ExecutionContext, so all charges land in the run's own cost model (in
-/// the driver's unique scheduler shard slot - counters stay exact,
-/// placement differs). Dense rounds partition destinations
-/// [vstart[s], vstart[s+1]); sparse rounds bucket the frontier by source
-/// shard, which keeps each driver's graph reads inside its own shard's
-/// segment.
-template <typename GraphT, typename F>
-VertexSubset EdgeMapShardParallel(const GraphT& g,
-                                  const VertexSubset& frontier, F& f,
-                                  bool use_dense, const EdgeMapOptions& opts) {
-  auto storage = g.storage();
-  const auto vstarts = storage->shard_vertex_starts();
-  const uint32_t k = storage->shard_count();
-  const vertex_id n = g.num_vertices();
-  auto& ctx = nvram::ExecutionContext::Current();
-  auto& cm = nvram::Cost();
-
-  auto drive = [&](auto&& body) {
-    std::vector<std::thread> drivers;
-    std::vector<std::exception_ptr> errors(k);
-    drivers.reserve(k);
-    for (uint32_t s = 0; s < k; ++s) {
-      drivers.emplace_back([&, s] {
-        nvram::ScopedExecutionContext bind(ctx);
-        // Under GraphLayout::kShardBound the driver models a thread pinned
-        // to its segment's socket, so its same-shard reads stay local.
-        nvram::ScopedGraphShardBinding shard_bind(s);
-        try {
-          body(s);
-        } catch (...) {
-          errors[s] = std::current_exception();
-        }
-      });
-    }
-    for (auto& t : drivers) t.join();
-    for (auto& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-  };
-
-  if (use_dense) {
-    SAGE_CHECK_MSG(g.symmetric(),
-                   "dense (pull) traversal requires a symmetric graph");
-    std::vector<uint8_t> next(n, 0);
-    drive([&](uint32_t s) {
-      EdgeMapDenseRange(g, frontier, f, next, vstarts[s], vstarts[s + 1]);
-    });
-    cm.ChargeWorkWrite(n / 8 + 1);  // output flag array, word-granular
-    size_t count =
-        reduce_add<size_t>(n, [&](size_t v) { return next[v] ? 1 : 0; });
-    return VertexSubset::Dense(n, std::move(next), count);
-  }
-
-  const auto& ids = frontier.ids();
-  // Shards own contiguous vertex ranges, so bucketing is a binary search
-  // over the k+1 boundaries per frontier vertex.
-  std::vector<std::vector<vertex_id>> buckets(k);
-  for (vertex_id u : ids) {
-    uint32_t s = static_cast<uint32_t>(
-        std::upper_bound(vstarts.begin() + 1, vstarts.end(), u) -
-        (vstarts.begin() + 1));
-    buckets[s < k ? s : k - 1].push_back(u);
-  }
-  cm.ChargeWorkRead(u64(ids.size()));   // bucketing pass
-  cm.ChargeWorkWrite(u64(ids.size()));
-  std::vector<VertexSubset> outs;
-  outs.reserve(k);
-  for (uint32_t s = 0; s < k; ++s) outs.push_back(VertexSubset::Empty(n));
-  drive([&](uint32_t s) {
-    if (buckets[s].empty()) return;
-    VertexSubset sub = VertexSubset::Sparse(n, std::move(buckets[s]));
-    uint64_t sub_degree = 0;
-    for (vertex_id u : sub.ids()) sub_degree += g.degree_uncharged(u);
-    outs[s] = RunSparseVariant(g, sub, f, sub_degree, opts.sparse_variant);
-  });
-  size_t merged_size = 0;
-  for (auto& out : outs) merged_size += out.size();
-  std::vector<vertex_id> merged;
-  merged.reserve(merged_size);
-  for (auto& out : outs) {
-    out.ToSparse();
-    merged.insert(merged.end(), out.ids().begin(), out.ids().end());
-  }
-  cm.ChargeWorkRead(u64(merged.size()));   // merge copy
-  cm.ChargeWorkWrite(u64(merged.size()));
-  return VertexSubset::Sparse(n, std::move(merged));
-}
-
 }  // namespace internal
 
 /// Direction-optimizing edgeMap. Applies F along edges out of `frontier`
@@ -563,7 +428,7 @@ VertexSubset EdgeMap(const GraphT& g, VertexSubset& frontier, F f,
   if (frontier.IsEmpty()) return VertexSubset::Empty(g.num_vertices());
   uint64_t deg = internal::FrontierDegree(g, frontier);
   const uint64_t m = g.num_edges();
-  const uint64_t den = std::max<uint64_t>(internal::u64(opts.dense_threshold_den), 1);
+  constexpr uint64_t den = internal::kDenseThresholdDen;
   const uint64_t threshold = std::max<uint64_t>(m / den, 1);
   // Direction optimization is a constant-factor heuristic over the m/den
   // ratio; when m < den that ratio truncates to nothing and the clamped
@@ -594,23 +459,20 @@ VertexSubset EdgeMap(const GraphT& g, VertexSubset& frontier, F f,
   if (use_dense && !pull) {
     return internal::EdgeMapDenseForward(g, frontier, f);
   }
-  if constexpr (!GraphT::kCompressed) {
-    // Shard-parallel drive: one dedicated driver thread per shard of a
-    // multi-shard graph (opt-in, see EdgeMapOptions::shard_parallel).
-    if (opts.shard_parallel) {
-      auto storage = g.storage();
-      if (storage != nullptr && storage->shard_count() > 1) {
-        return internal::EdgeMapShardParallel(g, frontier, f, pull, opts);
-      }
-    }
-  }
   if (pull) {
     SAGE_CHECK_MSG(g.symmetric(),
                    "dense (pull) traversal requires a symmetric graph");
     return internal::EdgeMapDense(g, frontier, f);
   }
-  return internal::RunSparseVariant(g, frontier, f, deg,
-                                    opts.sparse_variant);
+  switch (opts.sparse_variant) {
+    case SparseVariant::kSparse:
+      return internal::EdgeMapSparse(g, frontier, f, deg);
+    case SparseVariant::kBlocked:
+      return internal::EdgeMapBlocked(g, frontier, f, deg);
+    case SparseVariant::kChunked:
+      break;
+  }
+  return internal::EdgeMapChunked(g, frontier, f, deg);
 }
 
 }  // namespace sage

@@ -40,7 +40,7 @@ class GraphBuilder {
 };
 
 /// Returns a copy of `g` with uniformly random integral weights in
-/// [1, max(2, floor(log2 n))), as in the paper's weighted experiments.
+/// [1, max(2, ceil(log2 n))), as in the paper's weighted experiments.
 /// Symmetric edges (u,v)/(v,u) receive the same weight.
 Graph AddRandomWeights(const Graph& g, uint64_t seed);
 

@@ -69,20 +69,25 @@ std::shared_ptr<const GraphSnapshot> EpochManager::MakeSnapshot(
       snapshot, [shared = std::move(shared)](const GraphSnapshot* s) {
         const uint64_t retired = s->epoch;
         // Release the graph (and with it any storage the epoch privately
-        // held, e.g. a superseded file mapping) BEFORE announcing
-        // retirement, so waiters observe the mapping already dropped.
+        // held, e.g. a superseded file mapping) and run the retire hooks
+        // BEFORE announcing retirement, so waiters observe the mapping
+        // already dropped and the hooks' effects (cache invalidation)
+        // already applied.
         delete s;
         RetireCallback callback;
         std::vector<RetireCallback> listeners;
         {
           MutexLock lock(shared->mu);
-          shared->live.erase(retired);
           callback = shared->on_retire;
           listeners = shared->listeners;
         }
-        shared->retired_cv.NotifyAll();
         if (callback) callback(retired);
         for (const RetireCallback& listener : listeners) listener(retired);
+        {
+          MutexLock lock(shared->mu);
+          shared->live.erase(retired);
+        }
+        shared->retired_cv.NotifyAll();
       });
 }
 

@@ -63,7 +63,8 @@ class EpochManager {
   /// Epochs with live (unretired) snapshots, the current one included.
   size_t live_epochs() const;
 
-  /// Blocks until every epoch numbered below `epoch` has fully retired.
+  /// Blocks until every epoch numbered below `epoch` has fully retired,
+  /// its retire callback and listeners included.
   void WaitForRetiredBelow(uint64_t epoch) const;
 
   /// Replaces the retire callback (pass nullptr to clear). Applies to

@@ -89,16 +89,11 @@ class GraphStorage {
   // are a partitioning/attribution concept, never an accessor branch:
   // algorithms, writers, and the prefetcher see one dense CSR. These
   // virtuals expose the shard geometry to the cost model (per-shard NVRAM
-  // attribution), edgeMap (shard-parallel drive), and the engine (guards).
+  // attribution) and the engine (update guards).
 
   /// Number of contiguous vertex shards backing this storage; 0 for
   /// monolithic backends.
   virtual uint32_t shard_count() const { return 0; }
-  /// k+1 shard vertex boundaries (shard s owns vertices
-  /// [starts[s], starts[s+1])); empty for monolithic backends.
-  virtual std::span<const vertex_id> shard_vertex_starts() const {
-    return {};
-  }
   /// k+1 shard boundaries in directed-edge index space (shard s owns edge
   /// slots [starts[s], starts[s+1])); empty for monolithic backends.
   virtual std::span<const edge_offset> shard_edge_starts() const {

@@ -177,11 +177,11 @@ void ShardedGraphStorage::AdviseWillNeed(uint64_t offset,
 
 void ShardedGraphStorage::AdviseDontNeed(uint64_t offset,
                                          uint64_t bytes) const {
-  // MADV_DONTNEED zeroes anonymous pages, and the shard-boundary pages of
-  // the assembled region are anonymous copies - dropping those would
-  // corrupt the CSR. Restrict the advice to whole pages strictly inside
-  // each shard's file-backed interior; boundary pages (at most one per
-  // shard per section) just stay resident.
+  // MADV_DONTNEED zeroes anonymous pages, and the pages at shard
+  // boundaries of the assembled region are anonymous copies - dropping
+  // those would corrupt the CSR. Restrict the advice to whole pages
+  // strictly inside each shard's file-backed interior; boundary pages (at
+  // most one per shard per section) just stay resident.
   auto [addr, len] = PageSpan(offset, bytes);
   if (len == 0) return;
   const uint64_t begin =
@@ -235,13 +235,10 @@ Result<Graph> MapShardedGraph(const std::string& manifest_path) {
   auto storage =
       std::shared_ptr<ShardedGraphStorage>(new ShardedGraphStorage());
   storage->offsets_.assign(n + 1, 0);
-  storage->vertex_starts_.reserve(mf.shards.size() + 1);
   storage->edge_starts_.reserve(mf.shards.size() + 1);
   for (const ShardInfo& info : mf.shards) {
-    storage->vertex_starts_.push_back(info.vertex_begin);
     storage->edge_starts_.push_back(info.edge_begin);
   }
-  storage->vertex_starts_.push_back(static_cast<vertex_id>(n));
   storage->edge_starts_.push_back(static_cast<edge_offset>(m));
 
   // One reservation covering the dense neighbor array and (page-aligned

@@ -19,8 +19,8 @@
 // ShardParity suite pins this).
 //
 // The shard geometry is exposed through the GraphStorage shard virtuals
-// for per-shard cost attribution (nvram/cost_model.h), the shard-parallel
-// edgeMap drive (core/edge_map.h), and the engine's update guards.
+// for per-shard cost attribution (nvram/cost_model.h) and the engine's
+// update guards.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +47,7 @@ class ShardedGraphStorage final : public GraphStorage {
   bool nvram_resident() const override { return true; }
 
   uint32_t shard_count() const override {
-    return static_cast<uint32_t>(vertex_starts_.size() - 1);
-  }
-  std::span<const vertex_id> shard_vertex_starts() const override {
-    return vertex_starts_;
+    return static_cast<uint32_t>(edge_starts_.size() - 1);
   }
   std::span<const edge_offset> shard_edge_starts() const override {
     return edge_starts_;
@@ -81,7 +78,6 @@ class ShardedGraphStorage final : public GraphStorage {
   std::vector<edge_offset> offsets_;      // global, materialized in DRAM
   std::span<const vertex_id> neighbors_;  // into the assembled region
   std::span<const weight_t> weights_;
-  std::vector<vertex_id> vertex_starts_;  // k+1 shard boundaries
   std::vector<edge_offset> edge_starts_;  // k+1, in edge-index space
 };
 

@@ -1,7 +1,6 @@
 #include "nvram/cost_model.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -75,22 +74,7 @@ int ThreadSocket(int num_sockets) {
   return socket < num_sockets ? socket : num_sockets - 1;
 }
 
-// Shard the calling thread drives (ScopedGraphShardBinding); kShardBound
-// puts a bound thread on its shard's socket regardless of scheduler slot.
-thread_local uint32_t bound_graph_shard = kNoBoundGraphShard;
-
 }  // namespace
-
-uint32_t BoundGraphShard() { return bound_graph_shard; }
-
-ScopedGraphShardBinding::ScopedGraphShardBinding(uint32_t shard)
-    : previous_(bound_graph_shard) {
-  bound_graph_shard = shard;
-}
-
-ScopedGraphShardBinding::~ScopedGraphShardBinding() {
-  bound_graph_shard = previous_;
-}
 
 void CostModel::EnsureMemoryModeTags() {
   if (policy_ != AllocPolicy::kMemoryMode) return;
@@ -203,28 +187,6 @@ void CostModel::ChargeNvramRead(Shard& s, uint64_t words,
         }
         break;
       }
-      case GraphLayout::kShardBound: {
-        // Each shard's segment is bound whole to socket (shard mod
-        // sockets); with no shards registered this degenerates to
-        // kSingleSocket (everything on socket 0). A thread driving one
-        // shard (ScopedGraphShardBinding - the shard-parallel edgeMap
-        // drivers) sits on that shard's socket, so its same-shard reads
-        // are local; unbound threads fall back to their scheduler-slot
-        // socket, under which shard-oblivious scans look interleaved.
-        int data_socket = static_cast<int>(
-            GraphShardOf(addr_hint) %
-            static_cast<uint32_t>(config_.num_sockets));
-        const uint32_t bound = BoundGraphShard();
-        int thread_socket =
-            bound != kNoBoundGraphShard
-                ? static_cast<int>(
-                      bound % static_cast<uint32_t>(config_.num_sockets))
-                : ThreadSocket(config_.num_sockets);
-        if (data_socket != thread_socket) {
-          s.totals.remote_nvram_accesses += words;
-        }
-        break;
-      }
     }
   }
 }
@@ -294,7 +256,6 @@ void CostModel::ChargeGraphRead(uint64_t words, uint64_t addr_hint) {
       ChargeMemoryMode(s, words, addr_hint, /*is_write=*/false);
       break;
   }
-  MaybeThrottle(s);
 }
 
 void CostModel::ChargeGraphWrite(uint64_t words, uint64_t addr_hint) {
@@ -312,7 +273,6 @@ void CostModel::ChargeGraphWrite(uint64_t words, uint64_t addr_hint) {
       ChargeMemoryMode(s, words, addr_hint, /*is_write=*/true);
       break;
   }
-  MaybeThrottle(s);
 }
 
 void CostModel::ChargeWorkRead(uint64_t words, uint64_t addr_hint) {
@@ -329,7 +289,6 @@ void CostModel::ChargeWorkRead(uint64_t words, uint64_t addr_hint) {
       ChargeMemoryMode(s, words, addr_hint, /*is_write=*/false);
       break;
   }
-  MaybeThrottle(s);
 }
 
 void CostModel::ChargeWorkWrite(uint64_t words, uint64_t addr_hint) {
@@ -346,12 +305,11 @@ void CostModel::ChargeWorkWrite(uint64_t words, uint64_t addr_hint) {
       ChargeMemoryMode(s, words, addr_hint, /*is_write=*/true);
       break;
   }
-  MaybeThrottle(s);
 }
 
 void CostModel::ChargePrefetchRead(uint64_t words) {
-  // Distinct attribution: never folded into nvram_reads, never throttled -
-  // the advice thread is off the emulated critical path.
+  // Distinct attribution: never folded into nvram_reads - the advice
+  // thread is off the emulated critical path.
   LocalShard().totals.nvram_prefetch_reads += words;
 }
 
@@ -373,37 +331,6 @@ double CostModel::EmulatedNanos(const CostTotals& t, int threads) const {
               remote * config_.nvram_read_ns * config_.remote_nvram_multiplier +
               static_cast<double>(t.nvram_writes) * config_.nvram_write_ns();
   return ns / threads;
-}
-
-void CostModel::MaybeThrottle(Shard& s) {
-  if (!throttle_enabled_) return;
-  // Debt-based throttling: accumulate the emulated *extra* latency of the
-  // accesses charged since the last stall, and burn it off in chunks.
-  // The per-charge bookkeeping is intentionally coarse (counter deltas),
-  // so the common path is two subtractions and a compare.
-  const CostTotals& t = s.totals;
-  double extra_ns =
-      static_cast<double>(t.nvram_reads) * (config_.nvram_read_ns - 1.0) +
-      static_cast<double>(t.nvram_writes) * (config_.nvram_write_ns() - 1.0) +
-      static_cast<double>(t.remote_nvram_accesses) * config_.nvram_read_ns *
-          (config_.remote_nvram_multiplier - 1.0);
-  double debt = extra_ns * throttle_scale_ - s.paid_ns;
-  constexpr double kStallQuantumNs = 20000.0;  // 20 microseconds
-  if (debt < kStallQuantumNs) return;
-  auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    auto now = std::chrono::steady_clock::now();
-    double waited =
-        std::chrono::duration<double, std::nano>(now - start).count();
-    if (waited >= debt) break;
-  }
-  s.paid_ns += debt;
-}
-
-void CostModel::SetThrottle(bool enabled, double scale) {
-  throttle_enabled_ = enabled;
-  throttle_scale_ = scale;
-  for (auto& shard : shards_) shard.paid_ns = 0.0;
 }
 
 }  // namespace sage::nvram

@@ -19,9 +19,8 @@
 // through nvram::Cost(), which resolves the scheduler's task tag and falls
 // back to the process-wide default context outside any run.
 //
-// Because this machine has no Optane DIMMs, accounting (plus the optional
-// debt-based throttler) *is* the NVRAM: all experiments charge accesses
-// here and derive device behaviour from the config.
+// Without Optane DIMMs, accounting *is* the NVRAM: all experiments charge
+// accesses here and derive device behaviour from the config.
 #pragma once
 
 #include <atomic>
@@ -84,12 +83,6 @@ enum class GraphLayout : uint8_t {
   /// Graph pages interleaved across sockets (numactl -i all); roughly half
   /// of all reads are remote.
   kInterleaved = 2,
-  /// Multi-shard graphs only: shard s lives wholly on socket s mod
-  /// num_sockets (each segment mmap-bound to one node). Reads within a
-  /// thread's own shard's socket are local; crossing shards pays the
-  /// remote multiplier. Falls back to kSingleSocket behaviour when no
-  /// shard boundaries are registered.
-  kShardBound = 3,
 };
 
 /// Device parameters for the emulated NVRAM. Defaults follow the paper's
@@ -134,32 +127,6 @@ inline constexpr uint32_t kMaxAttributedGraphShards = 64;
 struct ShardIoTotals {
   uint64_t nvram_reads = 0;
   uint64_t nvram_writes = 0;
-};
-
-/// Sentinel for BoundGraphShard(): the calling thread drives no shard.
-inline constexpr uint32_t kNoBoundGraphShard = ~0u;
-
-/// The graph shard the calling thread is currently driving, or
-/// kNoBoundGraphShard. Shard-parallel drivers (core/edge_map.h) bind their
-/// shard via ScopedGraphShardBinding; GraphLayout::kShardBound then places
-/// a bound thread on its shard's socket - modelling the deployment where
-/// each segment's driver thread is pinned to the node the segment is
-/// mmap-bound to - instead of deriving the socket from the thread's
-/// scheduler slot.
-uint32_t BoundGraphShard();
-
-/// RAII binding of the calling thread to one graph shard for the NUMA
-/// model (see BoundGraphShard). Thread-local: jobs a bound thread hands to
-/// the scheduler pool run unbound on the workers.
-class ScopedGraphShardBinding {
- public:
-  explicit ScopedGraphShardBinding(uint32_t shard);
-  ~ScopedGraphShardBinding();
-
-  SAGE_DISALLOW_COPY_AND_ASSIGN(ScopedGraphShardBinding);
-
- private:
-  uint32_t previous_;
 };
 
 /// Aggregated access totals (word granularity).
@@ -254,8 +221,7 @@ class CostModel {
   /// Registers the edge-index shard boundaries of a multi-shard graph
   /// (k+1 entries, [0] = 0, [k] = m; k in [1, 64]) and turns on per-shard
   /// attribution: subsequent graph charges that route to NVRAM are also
-  /// binned by which shard their addr_hint falls in, and kShardBound uses
-  /// the same boundaries for its NUMA placement. Pass an empty span to
+  /// binned by which shard their addr_hint falls in. Pass an empty span to
   /// disable. Setup-time only, like the other setters; AlgorithmRegistry
   /// calls this per run from GraphStorage::shard_edge_starts().
   void SetGraphShards(std::span<const uint64_t> edge_starts);
@@ -273,14 +239,6 @@ class CostModel {
     graph_residence_ = residence;
   }
   GraphResidence graph_residence() const { return graph_residence_; }
-
-  /// Enables debt-based throttling: threads that accrue emulated NVRAM
-  /// latency spin it off in 20 us quanta, so wall-clock times take the shape
-  /// of an NVRAM machine. `scale` rescales emulated ns to real ns (use < 1
-  /// to shrink the slowdown while preserving relative shape).
-  void SetThrottle(bool enabled, double scale = 1.0);
-  bool throttle_enabled() const { return throttle_enabled_; }
-  double throttle_scale() const { return throttle_scale_; }
 
   /// Zeroes all counters.
   void ResetCounters();
@@ -305,8 +263,8 @@ class CostModel {
   /// compute (graph/prefetch.h). Attributed distinctly - never folded into
   /// nvram_reads, PsamCost, or EmulatedNanos - so runs report how much of
   /// the graph the pipeline pulled in without perturbing the PSAM
-  /// accounting the parity tests pin down. No throttle, no NUMA model:
-  /// the background advice thread is not on the emulated critical path.
+  /// accounting the parity tests pin down. No NUMA model: the background
+  /// advice thread is not on the emulated critical path.
   void ChargePrefetchRead(uint64_t words);
 
   /// Sums all shards.
@@ -320,7 +278,6 @@ class CostModel {
  private:
   struct alignas(kCacheLineBytes) Shard {
     CostTotals totals;
-    double paid_ns = 0.0;  // emulated latency already stalled off
   };
 
   Shard& LocalShard() {
@@ -332,7 +289,6 @@ class CostModel {
   void ChargeNvramWrite(Shard& s, uint64_t words, uint64_t addr_hint);
   void ChargeMemoryMode(Shard& s, uint64_t words, uint64_t addr_hint,
                         bool is_write);
-  void MaybeThrottle(Shard& s);
 
   /// Which registered graph shard an edge-index addr_hint falls in
   /// (clamped; 0 when attribution is off).
@@ -349,8 +305,6 @@ class CostModel {
   AllocPolicy policy_ = AllocPolicy::kGraphNvram;
   GraphLayout graph_layout_ = GraphLayout::kReplicated;
   GraphResidence graph_residence_ = GraphResidence::kPolicy;
-  bool throttle_enabled_ = false;
-  double throttle_scale_ = 1.0;
   /// Direct-mapped tag array for the MemoryMode cache simulator, one per
   /// model so concurrent runs never thrash each other's simulated cache.
   /// Tags are relaxed atomics: workers of one run race benignly on the

@@ -2,7 +2,7 @@
 //
 // An ExecutionContext owns everything one query charges while it runs: a
 // CostModel instance (PSAM counters + device configuration: policy, omega,
-// NUMA layout, graph residence, MemoryMode cache, throttle) and a
+// NUMA layout, graph residence, MemoryMode cache) and a
 // MemoryTracker instance (peak intermediate DRAM). AlgorithmRegistry::Run
 // builds one per run, binds it to the calling thread with
 // ScopedExecutionContext, and reads the run's counters and peak from it
@@ -52,14 +52,13 @@ class ExecutionContext {
   SAGE_DISALLOW_COPY_AND_ASSIGN(ExecutionContext);
 
   /// Copies the device configuration (emulation config, policy, layout,
-  /// residence, throttle) from `from`; counters stay at zero.
+  /// residence) from `from`; counters stay at zero.
   void InheritDeviceState(const ExecutionContext& from) {
     const CostModel& src = from.cost_model();
     cost_model_.SetConfig(src.config());
     cost_model_.SetAllocPolicy(src.alloc_policy());
     cost_model_.SetGraphLayout(src.graph_layout());
     cost_model_.SetGraphResidence(src.graph_residence());
-    cost_model_.SetThrottle(src.throttle_enabled(), src.throttle_scale());
   }
 
   CostModel& cost_model() { return cost_model_; }

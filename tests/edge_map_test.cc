@@ -185,12 +185,12 @@ bool StepWentDense(const Graph& g, std::vector<vertex_id> frontier_ids,
 }
 
 TEST(EdgeMapDirection, TinyGraphsStaySparseUnderAuto) {
-  // m = 12 < dense_threshold_den = 20: the truncated Beamer threshold
+  // m = 12 < kDenseThresholdDen = 20: the truncated Beamer threshold
   // (m / 20 = 0, clamped to 1) used to send every frontier with
   // |U| + deg(U) > 1 dense. The heuristic is a constant-factor bet that
   // only makes sense once m >= den; tiny graphs stay on the push path.
   Graph g = CompleteGraph(4);
-  ASSERT_LT(g.num_edges(), EdgeMapOptions{}.dense_threshold_den);
+  ASSERT_LT(g.num_edges(), internal::kDenseThresholdDen);
   EXPECT_FALSE(StepWentDense(g, {0}, EdgeMapOptions{}));
 }
 
@@ -203,16 +203,6 @@ TEST(EdgeMapDirection, HeavyFrontierStillGoesDenseOnce) {
   EXPECT_TRUE(StepWentDense(g, std::move(all), EdgeMapOptions{}));
   // ... while a single-source frontier (|U| + deg = 64 <= 201) stays sparse.
   EXPECT_FALSE(StepWentDense(g, {0}, EdgeMapOptions{}));
-}
-
-TEST(EdgeMapDirection, ZeroDenominatorIsTreatedAsOne) {
-  // den = 0 used to divide by zero; it now clamps to 1 (threshold = m),
-  // and the step still computes the right next frontier.
-  Graph g = CompleteGraph(8);
-  EdgeMapOptions opts;
-  opts.dense_threshold_den = 0;
-  EXPECT_FALSE(StepWentDense(g, {0}, opts));
-  EXPECT_EQ(BfsLevels(g, 0, opts), ReferenceLevels(g, 0));
 }
 
 /// Intermediate-memory comparison (the Table 5 property): peak tracked DRAM

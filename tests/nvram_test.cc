@@ -16,7 +16,6 @@ class CostModelTest : public ::testing::Test {
     cm.SetConfig(EmulationConfig{});
     cm.SetAllocPolicy(AllocPolicy::kGraphNvram);
     cm.SetGraphLayout(GraphLayout::kReplicated);
-    cm.SetThrottle(false);
     cm.ResetCounters();
   }
 };

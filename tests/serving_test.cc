@@ -227,6 +227,18 @@ TEST(Serving, CacheKeyCanonicalization) {
   dram_ctx.policy = nvram::AllocPolicy::kAllDram;
   EXPECT_NE(ResultCache::CanonicalKey(0, *bfs, dram_ctx, params), base);
 
+  // Every execution setting that can change a result or its counters
+  // splits the key too: edgeMap direction, sparse variant, graph layout.
+  RunContext mode_ctx = ctx;
+  mode_ctx.edge_map.mode = TraversalMode::kSparseOnly;
+  EXPECT_NE(ResultCache::CanonicalKey(0, *bfs, mode_ctx, params), base);
+  RunContext variant_ctx = ctx;
+  variant_ctx.edge_map.sparse_variant = SparseVariant::kBlocked;
+  EXPECT_NE(ResultCache::CanonicalKey(0, *bfs, variant_ctx, params), base);
+  RunContext layout_ctx = ctx;
+  layout_ctx.graph_layout = nvram::GraphLayout::kInterleaved;
+  EXPECT_NE(ResultCache::CanonicalKey(0, *bfs, layout_ctx, params), base);
+
   // PageRank declares its tolerance, so there it does split the key.
   const std::string pr = ResultCache::CanonicalKey(0, *pagerank, ctx, params);
   RunParams pr_tweaked = params;
