@@ -5,6 +5,8 @@
 // the overlay view and the compacted graph are observably identical -
 // bit-identical summaries and PSAM totals for the algorithms that read them.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -432,6 +434,33 @@ TEST(EpochManager, PinAdvanceRetireLifecycle) {
   EXPECT_EQ(epochs.live_epochs(), 1u);
   ASSERT_EQ(retired.size(), 1u);
   EXPECT_EQ(retired[0], 0u);
+}
+
+TEST(EpochManager, WaitersObserveRetireHooksAlreadyRun) {
+  // The last pin drops on another thread, whose retire hooks are slow; a
+  // waiter must not wake until both the callback and the listener (the
+  // result cache's invalidation, in the Engine) have finished. The flags
+  // outlive the manager, whose destructor retires epoch 1 the same way.
+  std::atomic<bool> callback_done{false};
+  std::atomic<bool> listener_done{false};
+  EpochManager epochs(PathGraph());
+  epochs.SetRetireCallback([&](uint64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    callback_done.store(true);
+  });
+  epochs.AddRetireListener([&](uint64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    listener_done.store(true);
+  });
+
+  auto pin0 = epochs.Pin();
+  epochs.Advance(PathGraph(), 0);
+  std::thread reader([pin = std::move(pin0)]() mutable { pin.reset(); });
+  epochs.WaitForRetiredBelow(1);
+  EXPECT_TRUE(callback_done.load());
+  EXPECT_TRUE(listener_done.load());
+  EXPECT_EQ(epochs.live_epochs(), 1u);
+  reader.join();
 }
 
 TEST(EpochManager, SnapshotOutlivesManager) {

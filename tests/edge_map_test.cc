@@ -205,6 +205,21 @@ TEST(EdgeMapDirection, HeavyFrontierStillGoesDenseOnce) {
   EXPECT_FALSE(StepWentDense(g, {0}, EdgeMapOptions{}));
 }
 
+TEST(EdgeMapDirection, DenseThresholdIsEdgesOverConstantDen) {
+  // Beamer's rule with the fixed denominator: a round goes dense once
+  // |U| + deg(U) exceeds m / kDenseThresholdDen, and not at it. Every
+  // leaf of a star adds 1 to |U| and 1 to deg(U).
+  Graph g = StarGraph(201);
+  ASSERT_EQ(g.num_edges() / internal::kDenseThresholdDen, 20u);
+  auto leaves = [](size_t k) {
+    return tabulate<vertex_id>(
+        k, [](size_t i) { return static_cast<vertex_id>(i + 1); });
+  };
+  EXPECT_FALSE(StepWentDense(g, leaves(10), EdgeMapOptions{}));  // 20
+  EXPECT_TRUE(StepWentDense(g, leaves(11), EdgeMapOptions{}));   // 22
+  EXPECT_EQ(BfsLevels(g, 1, EdgeMapOptions{}), ReferenceLevels(g, 1));
+}
+
 /// Intermediate-memory comparison (the Table 5 property): peak tracked DRAM
 /// during a one-step traversal from a full frontier.
 uint64_t PeakDuringFullStep(const Graph& g, SparseVariant variant) {

@@ -24,6 +24,7 @@
 #include "graph/io.h"
 #include "graph/shard.h"
 #include "graph/sharded_storage.h"
+#include "nvram/cost_model.h"
 
 namespace sage {
 namespace {
@@ -189,6 +190,71 @@ TEST(ShardParity, AlgorithmsMatchMonolithicBitForBit) {
   }
   RemoveSharded(manifest, 4);
   std::remove(mono.c_str());
+}
+
+TEST(ShardParity, MultiThreadedRunsMatchMonolithicSummaries) {
+  Graph g = RmatGraph(10, 20000, 23);
+  std::string manifest = TempPath("widths.bsadjx");
+  ASSERT_TRUE(WriteShardedGraph(g, manifest, 4).ok());
+  auto mapped = MapShardedGraph(manifest);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const Graph& sg = mapped.ValueOrDie();
+
+  // The plain edgeMap's parallel rounds run straight across the spliced
+  // segments. Summaries are order-insensitive aggregates (reached counts,
+  // component counts, iteration counts), so every width must reproduce
+  // the monolithic single-threaded run's.
+  RunContext serial;
+  serial.num_threads = 1;
+  for (const char* algo : {"bfs", "connectivity", "pagerank"}) {
+    auto ref = AlgorithmRegistry::Run(algo, g, serial);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    for (int width : {1, 2, 4}) {
+      RunContext rctx;
+      rctx.num_threads = width;
+      auto run = AlgorithmRegistry::Run(algo, sg, rctx);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run.ValueOrDie().summary, ref.ValueOrDie().summary)
+          << algo << " at width " << width;
+      EXPECT_EQ(run.ValueOrDie().per_shard.size(), 4u) << algo;
+    }
+  }
+  RemoveSharded(manifest, 4);
+}
+
+TEST(Shard, ChargedGraphReadsBinToTheirShard) {
+  Graph g = RmatGraph(9, 8000, 29);
+  std::string manifest = TempPath("bins.bsadjx");
+  ASSERT_TRUE(WriteShardedGraph(g, manifest, 4).ok());
+  auto mapped = MapShardedGraph(manifest);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const auto estarts = mapped.ValueOrDie().storage()->shard_edge_starts();
+  ASSERT_EQ(estarts.size(), 5u);
+
+  auto& cm = nvram::Cost();
+  const auto prev_policy = cm.alloc_policy();
+  cm.SetAllocPolicy(nvram::AllocPolicy::kGraphNvram);
+  cm.SetGraphShards(estarts);
+  cm.ResetCounters();
+  // A read lands in the shard whose edge range holds its address: each
+  // shard's first and last edge index, plus a hint at or past m (a
+  // zero-degree tail vertex's offset), which clamps into the last shard.
+  for (uint32_t s = 0; s < 4; ++s) {
+    cm.ChargeGraphRead(s + 1, estarts[s]);
+    cm.ChargeGraphRead(10, estarts[s + 1] - 1);
+  }
+  cm.ChargeGraphRead(100, estarts[4]);
+  const auto bins = cm.ShardTotals();
+  ASSERT_EQ(bins.size(), 4u);
+  for (uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(bins[s].nvram_reads, s + 1 + 10 + (s == 3 ? 100u : 0u)) << s;
+    EXPECT_EQ(bins[s].nvram_writes, 0u) << s;
+  }
+  EXPECT_EQ(cm.Totals().nvram_reads, 1u + 2 + 3 + 4 + 40 + 100);
+  cm.SetGraphShards({});
+  cm.SetAllocPolicy(prev_policy);
+  cm.ResetCounters();
+  RemoveSharded(manifest, 4);
 }
 
 TEST(Manifest, MissingSegmentRejected) {
