@@ -13,6 +13,8 @@
 //   sage_cli -algo bfs -graph web.bsadj -src 5   # then mmap-open per run
 //   sage_cli -list
 //
+// Unknown flags are rejected (non-zero exit, the flag named on stderr).
+//
 // -convert serializes the loaded (or generated) graph and exits: a
 // ".bsadj" destination writes the binary CSR image, anything else the text
 // AdjacencyGraph format.
@@ -91,6 +93,19 @@ void PrintUsage() {
 
 int main(int argc, char** argv) {
   CommandLine cmd(argc, argv);
+  // Every flag this driver reads; anything else is a typo or a removed
+  // flag, and running the defaults instead would hide it.
+  const auto unknown = cmd.UnknownFlags(
+      {"algo", "cache", "cache-bytes", "compact", "convert",
+       "convert-sharded", "deadline-ms", "edges", "gen", "graph", "help",
+       "json", "list", "list-names", "logn", "omega", "policy", "prefetch",
+       "repeat", "seed", "shards", "src", "stats", "tenant", "threads",
+       "updates", "updates-between", "weighted"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag -%s (try -list)\n",
+                 unknown.front().c_str());
+    return 1;
+  }
 
   if (cmd.Has("list-names")) {
     // One name per line, for scripts (the CTest smoke matrix).
@@ -139,9 +154,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (cmd.Has("list") || !cmd.Has("algo")) {
+  if (cmd.Has("list") || cmd.Has("help") || !cmd.Has("algo")) {
     PrintUsage();
-    return cmd.Has("list") ? 0 : 1;
+    return cmd.Has("list") || cmd.Has("help") ? 0 : 1;
   }
 
   std::string algo = cmd.GetString("algo");

@@ -23,6 +23,8 @@
 #                                             misses, tiny -deadline-ms fails
 #                                             DeadlineExceeded, -tenant/-stats
 #                                             render the stats JSON
+#   cli_smoke.sh <sage_cli> --unknown-flag    a misspelled flag exits nonzero
+#                                             and is named on stderr
 set -u
 
 CLI=$1
@@ -227,6 +229,17 @@ case $MODE in
     done
     [ $fail = 0 ] && echo "ok serve: tenant + stats surface"
     exit $fail
+    ;;
+  --unknown-flag)
+    if err=$("$CLI" -algo bfs -gen rmat -logn 8 -edges 2000 -no-such-flag \
+                  2>&1); then
+      echo "FAIL: an unknown flag must exit nonzero"; exit 1
+    fi
+    printf '%s\n' "$err" | grep -q -- "-no-such-flag" || {
+      echo "FAIL: the error must name the flag, got: $err"; exit 1;
+    }
+    echo "ok unknown flag rejected"
+    exit 0
     ;;
   --all)
     names=$("$CLI" -list-names) || { echo "FAIL: -list-names exited nonzero"; exit 1; }

@@ -1,10 +1,12 @@
 // k-core decomposition (coreness of every vertex) via Julienne-style
 // bucketed peeling (Section 4.3.4). Vertices are bucketed by induced
 // degree; the minimum bucket is peeled, and neighbor degree decrements are
-// aggregated with the histogram primitive (sparse sort-based or dense
-// O(m)-scan, chosen by frontier size) instead of fetch-and-add. PSAM:
-// O(m) expected work, O(rho log n) depth whp (rho = peeling complexity),
-// O(n) words of DRAM.
+// aggregated with the histogram primitive (a sparse semisort or a dense
+// O(m) scan, chosen by frontier size) instead of fetch-and-add, then moved
+// to their new buckets in one parallel placement. PSAM: O(m) expected work
+// (each edge is gathered and counted O(1) times in expectation, each
+// degree change placed once), O(rho log n) depth whp (rho = peeling
+// complexity), O(n) words of DRAM.
 #pragma once
 
 #include <vector>
@@ -30,7 +32,7 @@ struct KCoreResult {
 
 /// Computes the coreness of every vertex.
 template <typename GraphT>
-KCoreResult KCore(const GraphT& g, size_t histogram_threshold_den = 20) {
+KCoreResult KCore(const GraphT& g) {
   const vertex_id n = g.num_vertices();
   std::vector<uint32_t> degree(n);
   parallel_for(0, n, [&](size_t v) {
@@ -57,8 +59,7 @@ KCoreResult KCore(const GraphT& g, size_t histogram_threshold_den = 20) {
     // Aggregate degree decrements for live neighbors of the peeled set.
     auto frontier = VertexSubset::Sparse(n, std::vector<vertex_id>(peel));
     auto hist = NeighborHistogram(
-        g, frontier, [&](vertex_id u) { return peeled[u] == 0; },
-        histogram_threshold_den);
+        g, frontier, [&](vertex_id u) { return peeled[u] == 0; });
     std::vector<std::pair<vertex_id, bucket_id>> updates(hist.size());
     parallel_for(0, hist.size(), [&](size_t i) {
       auto [u, cnt] = hist[i];

@@ -3,9 +3,12 @@
 // starting with '-' is a positional argument.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -49,6 +52,20 @@ class CommandLine {
   double GetDouble(const std::string& name, double def = 0.0) const {
     auto it = flags_.find(name);
     return it == flags_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  }
+
+  /// Names of the parsed flags not listed in `known`, sorted, so a driver
+  /// can reject a typo instead of silently running its defaults.
+  std::vector<std::string> UnknownFlags(
+      std::initializer_list<std::string_view> known) const {
+    std::vector<std::string> unknown;
+    for (const auto& [name, value] : flags_) {
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        unknown.push_back(name);
+      }
+    }
+    std::sort(unknown.begin(), unknown.end());
+    return unknown;
   }
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -6,13 +6,23 @@
 // subgraph, decreasing for approximate set cover). The practical variant
 // keeps a window of open buckets plus one overflow bucket.
 //
+// Placement is bulk and parallel, as in Julienne: a batch of vertices is
+// counted per destination (each open bucket plus overflow), the counts are
+// prefix-summed, and the vertices are scattered. The constructor, the
+// overflow refill and UpdateBuckets all place through this one routine,
+// which requires the vertex ids of a batch to be distinct.
+//
 // PSAM compliance: Julienne's fully lazy deletion can leave O(#updates) =
 // O(m) stale entries resident. Here every vertex records its current bucket
 // (O(n) words), stale entries are filtered at extraction, and whenever the
-// stored entries exceed a constant multiple of n the structure compacts
-// (semi-eager packing), bounding resident DRAM to O(n) words.
+// stored entries exceed 2n the structure compacts (semi-eager packing),
+// bounding resident DRAM to O(n) words. Extraction, refill and compaction
+// keep one entry per live vertex, so a bucket never yields a vertex twice
+// and at most n entries survive a refill or a compaction.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -41,24 +51,24 @@ enum class BucketOrder { kIncreasing, kDecreasing };
 class Buckets {
  public:
   /// Creates the structure over vertices [0, n). `d(v)` gives the initial
-  /// bucket of v (kNullBucket to leave v out). For kDecreasing order,
-  /// `max_bucket` must upper-bound every bucket id ever inserted.
+  /// bucket of v (kNullBucket to leave v out); it is called once per
+  /// vertex, possibly in parallel. For kDecreasing order, `max_bucket` must
+  /// upper-bound every bucket id ever inserted.
   template <typename D>
   Buckets(vertex_id n, const D& d, BucketOrder order,
           bucket_id max_bucket = 0, size_t num_open = 128)
       : order_(order),
         max_bucket_(max_bucket),
         num_open_(num_open),
-        vtx_bucket_(n, kNullBucket),
+        vtx_bucket_(n),
         open_(num_open),
         tracked_(n * sizeof(bucket_id)) {
     if (order_ == BucketOrder::kDecreasing) SAGE_CHECK(max_bucket_ > 0);
-    for (vertex_id v = 0; v < n; ++v) {
-      bucket_id b = d(v);
-      if (b == kNullBucket) continue;
-      vtx_bucket_[v] = b;
-      Insert(v, Key(b));
-    }
+    Place(
+        n, [](size_t i) { return static_cast<vertex_id>(i); },
+        [&](size_t i) {
+          return vtx_bucket_[i] = d(static_cast<vertex_id>(i));
+        });
     nvram::Cost().ChargeWorkWrite(n);
   }
 
@@ -82,12 +92,18 @@ class Buckets {
           vec.clear();
           stored_ -= raw.size();
           bucket_id id = Unkey(key);
-          auto live = filter(raw, [&](vertex_id v) {
-            return vtx_bucket_[v] != kNullBucket &&
-                   Key(vtx_bucket_[v]) == key;
-          });
+          auto live =
+              filter(raw, [&](vertex_id v) { return vtx_bucket_[v] == id; });
+          // Mark the members removed, each once: a repeated entry finds
+          // its vertex already removed.
+          size_t members = 0;
+          for (vertex_id v : live) {
+            if (vtx_bucket_[v] != id) continue;
+            vtx_bucket_[v] = kNullBucket;
+            live[members++] = v;
+          }
+          live.resize(members);
           if (live.empty()) continue;  // all stale; keep scanning
-          for (vertex_id v : live) vtx_bucket_[v] = kNullBucket;
           nvram::Cost().ChargeWorkRead(raw.size());
           nvram::Cost().ChargeWorkWrite(live.size());
           return Bucket{id, std::move(live)};
@@ -105,26 +121,27 @@ class Buckets {
   /// Moves each (vertex, bucket) to its new bucket. A target below the
   /// current priority is clamped to the current bucket window (matching
   /// Julienne: priorities only advance). kNullBucket removes the vertex.
+  /// The vertex ids of one batch must be distinct.
   void UpdateBuckets(
       const std::vector<std::pair<vertex_id, bucket_id>>& updates) {
-    for (auto [v, b] : updates) {
-      if (vtx_bucket_[v] == kNullBucket && b == kNullBucket) continue;
-      if (b == kNullBucket) {
-        vtx_bucket_[v] = kNullBucket;  // lazy removal
-        continue;
-      }
-      bucket_id key = Key(b);
-      bucket_id floor_key = cur_base_ + static_cast<bucket_id>(cur_offset_);
-      if (key < floor_key) {
-        key = floor_key;
-        b = Unkey(key);
-      }
-      if (vtx_bucket_[v] != kNullBucket && Key(vtx_bucket_[v]) == key) {
-        continue;  // already there
-      }
-      vtx_bucket_[v] = b;
-      Insert(v, key);
-    }
+    SAGE_DCHECK(DistinctVertices(updates));
+    const bucket_id floor_key =
+        cur_base_ + static_cast<bucket_id>(cur_offset_);
+    // A vertex gets a new entry unless it leaves (lazy removal) or the
+    // entry it has still finds it: same bucket, or overflow to overflow.
+    Place(
+        updates.size(), [&](size_t i) { return updates[i].first; },
+        [&](size_t i) {
+          auto [v, b] = updates[i];
+          const bucket_id old = vtx_bucket_[v];
+          if (b != kNullBucket && Key(b) < floor_key) b = Unkey(floor_key);
+          vtx_bucket_[v] = b;
+          if (b == kNullBucket) return kNullBucket;
+          const bool keeps_entry =
+              old != kNullBucket &&
+              (old == b || (Dest(old) == num_open_ && Dest(b) == num_open_));
+          return keeps_entry ? kNullBucket : b;
+        });
     nvram::Cost().ChargeWorkWrite(updates.size());
     MaybeCompact();
   }
@@ -144,14 +161,89 @@ class Buckets {
     return order_ == BucketOrder::kIncreasing ? key : max_bucket_ - key;
   }
 
-  void Insert(vertex_id v, bucket_id key) {
+  /// Destination of bucket b: its open bucket's index, or num_open_ for
+  /// overflow (any key outside the open window).
+  size_t Dest(bucket_id b) const {
+    bucket_id key = Key(b);
     if (key < cur_base_ ||
         key - cur_base_ >= static_cast<bucket_id>(num_open_)) {
-      overflow_.push_back(v);
-    } else {
-      open_[key - cur_base_].push_back(v);
+      return num_open_;
     }
-    ++stored_;
+    return key - cur_base_;
+  }
+
+  std::vector<vertex_id>& DestVector(size_t d) {
+    return d < num_open_ ? open_[d] : overflow_;
+  }
+
+  static bool DistinctVertices(
+      const std::vector<std::pair<vertex_id, bucket_id>>& updates) {
+    std::vector<vertex_id> ids(updates.size());
+    for (size_t i = 0; i < updates.size(); ++i) ids[i] = updates[i].first;
+    std::sort(ids.begin(), ids.end());
+    return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
+  }
+
+  /// Appends vertex(i) to the destination of bucket(i), for every i in
+  /// [0, k) with bucket(i) != kNullBucket. bucket(i) is called once per i,
+  /// so it may update the vertex's state. Each block counts its vertices
+  /// per destination, the counts are prefix-summed destination-major, and
+  /// each block scatters behind the destination's current entries, so
+  /// every destination keeps batch order. The vertices must be distinct.
+  template <typename VertexF, typename BucketF>
+  void Place(size_t k, const VertexF& vertex, const BucketF& bucket) {
+    if (num_workers() == 1) {  // same order, without the counting passes
+      for (size_t i = 0; i < k; ++i) {
+        bucket_id b = bucket(i);
+        if (b == kNullBucket) continue;
+        DestVector(Dest(b)).push_back(vertex(i));
+        ++stored_;
+      }
+      return;
+    }
+    if (k == 0) return;
+    const size_t nd = num_open_ + 1;
+    // Blocks are at least 8x the destinations: the count matrix stays
+    // below k/8 words.
+    const size_t block = std::max(internal::BlockSize(k), 8 * nd);
+    const size_t nb = internal::NumBlocks(k, block);
+    std::vector<size_t> counts(nb * nd, 0);
+    std::vector<uint32_t> dest(k);  // nd: no new entry
+    parallel_for(
+        0, nb,
+        [&](size_t blk) {
+          size_t* row = counts.data() + blk * nd;
+          for (size_t i = blk * block, hi = std::min(k, i + block); i < hi;
+               ++i) {
+            const bucket_id b = bucket(i);
+            const size_t d = b == kNullBucket ? nd : Dest(b);
+            dest[i] = static_cast<uint32_t>(d);
+            if (d < nd) ++row[d];
+          }
+        },
+        1);
+    for (size_t d = 0; d < nd; ++d) {
+      auto& vec = DestVector(d);
+      size_t pos = vec.size();
+      for (size_t blk = 0; blk < nb; ++blk) {
+        size_t c = counts[blk * nd + d];
+        counts[blk * nd + d] = pos;
+        pos += c;
+      }
+      stored_ += pos - vec.size();
+      vec.resize(pos);
+    }
+    parallel_for(
+        0, nb,
+        [&](size_t blk) {
+          size_t* pos = counts.data() + blk * nd;
+          for (size_t i = blk * block, hi = std::min(k, i + block); i < hi;
+               ++i) {
+            const size_t d = dest[i];
+            if (d < nd) DestVector(d)[pos[d]++] = vertex(i);
+          }
+        },
+        1);
   }
 
   /// Rebuilds the open window from overflow entries. Returns false when the
@@ -162,40 +254,65 @@ class Buckets {
     });
     stored_ -= overflow_.size();
     overflow_.clear();
-    if (live.empty()) return false;
-    bucket_id min_key = reduce(
-        live.size(), [&](size_t i) { return Key(vtx_bucket_[live[i]]); },
+    // One entry per vertex: take each vertex out while recording its
+    // bucket, so a repeated entry finds it gone.
+    std::vector<bucket_id> bucket(live.size());
+    size_t members = 0;
+    for (vertex_id v : live) {
+      if (vtx_bucket_[v] == kNullBucket) continue;
+      bucket[members] = vtx_bucket_[v];
+      vtx_bucket_[v] = kNullBucket;
+      live[members++] = v;
+    }
+    if (members == 0) return false;
+    cur_base_ = reduce(
+        members, [&](size_t i) { return Key(bucket[i]); },
         [](bucket_id a, bucket_id b) { return a < b ? a : b; }, kNullBucket);
-    cur_base_ = min_key;
     cur_offset_ = 0;
-    for (vertex_id v : live) Insert(v, Key(vtx_bucket_[v]));
-    nvram::Cost().ChargeWorkWrite(live.size());
+    Place(
+        members, [&](size_t i) { return live[i]; },
+        [&](size_t i) { return vtx_bucket_[live[i]] = bucket[i]; });
+    nvram::Cost().ChargeWorkWrite(members);
     return true;
   }
 
-  /// Semi-eager packing: when stored entries exceed 2n, drop stale entries
-  /// from every bucket, restoring the O(n) bound.
+  /// Semi-eager packing: when stored entries exceed 2n, drop stale and
+  /// repeated entries from every bucket, one task per bucket, restoring
+  /// the O(n) bound.
   void MaybeCompact() {
-    size_t n = vtx_bucket_.size();
-    if (stored_ <= 2 * n) return;
-    size_t new_stored = 0;
-    for (size_t k = 0; k < num_open_; ++k) {
-      bucket_id key = cur_base_ + static_cast<bucket_id>(k);
-      open_[k] = filter(open_[k], [&](vertex_id v) {
-        return vtx_bucket_[v] != kNullBucket && Key(vtx_bucket_[v]) == key;
-      });
-      new_stored += open_[k].size();
-    }
-    overflow_ = filter(overflow_, [&](vertex_id v) {
-      bucket_id b = vtx_bucket_[v];
-      if (b == kNullBucket) return false;
-      bucket_id key = Key(b);
-      return key < cur_base_ ||
-             key - cur_base_ >= static_cast<bucket_id>(num_open_);
-    });
-    new_stored += overflow_.size();
-    nvram::Cost().ChargeWorkWrite(new_stored);
-    stored_ = new_stored;
+    if (stored_ <= 2 * vtx_bucket_.size()) return;
+    const size_t before = stored_;
+    std::vector<size_t> kept(num_open_ + 1);
+    parallel_for(
+        0, num_open_ + 1,
+        [&](size_t d) {
+          auto& vec = DestVector(d);
+          // Keep one entry per live vertex: take each vertex out while
+          // recording its bucket, so a repeated entry finds it gone, then
+          // put the kept back. Only the task of a vertex's own destination
+          // writes its slot; other tasks read it as stale either way.
+          std::vector<bucket_id> kept_bucket;
+          size_t live = 0;
+          for (vertex_id v : vec) {
+            std::atomic_ref<bucket_id> slot(vtx_bucket_[v]);
+            const bucket_id b = slot.load(std::memory_order_relaxed);
+            if (b == kNullBucket || Dest(b) != d) continue;
+            slot.store(kNullBucket, std::memory_order_relaxed);
+            vec[live++] = v;
+            kept_bucket.push_back(b);
+          }
+          vec.resize(live);
+          for (size_t i = 0; i < live; ++i) {
+            std::atomic_ref<bucket_id>(vtx_bucket_[vec[i]])
+                .store(kept_bucket[i], std::memory_order_relaxed);
+          }
+          kept[d] = live;
+        },
+        1);
+    stored_ = 0;
+    for (size_t c : kept) stored_ += c;
+    nvram::Cost().ChargeWorkRead(before);
+    nvram::Cost().ChargeWorkWrite(stored_);
   }
 
   BucketOrder order_;

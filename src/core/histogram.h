@@ -3,14 +3,21 @@
 // without fetch-and-add contention.
 //
 // Two modes, as in the paper:
-//  - sparse: sort the gathered keys and count run lengths. Memory is
-//    proportional to the number of keys (the caller only uses this when the
-//    frontier's incident edge count is below a threshold t = m/c).
+//  - sparse: a semisort. One count/prefix-sum/scatter pass hash-partitions
+//    the live gathered keys into buckets of about kSemisortBucketKeys keys,
+//    and each bucket is counted in its own linear-probing table. O(k)
+//    expected work and O(k) transient words for k gathered keys, no shared
+//    counters; the (key, count) pairs come out in unspecified order. The
+//    caller only uses this when the frontier's incident edge count is below
+//    a threshold t = m/c.
 //  - dense: when the frontier is large, iterate over *all* vertices and
 //    count their neighbors in the frontier (O(m) work, O(n) memory). This
 //    is the "dense histogram" optimization described for k-core.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -19,23 +26,156 @@
 #include "nvram/cost_model.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
-#include "parallel/sort.h"
 
 namespace sage {
 
-/// Sparse histogram: (key, count) for every distinct key, sorted by key.
+namespace internal {
+
+/// The paper's sparse/dense histogram threshold t = m / c, with c = 20.
+inline constexpr uint64_t kHistogramThresholdDen = 20;
+
+/// Target keys per semisort bucket: enough to amortize a bucket's table,
+/// few enough that the table stays in cache.
+inline constexpr size_t kSemisortBucketKeys = 2048;
+
+using KeyCount = std::pair<vertex_id, uint32_t>;
+
+/// Fibonacci hash of a key. The top bits pick the semisort bucket; the 32
+/// bits below them pick the slot in that bucket's table.
+inline uint64_t KeyHash(vertex_id v) {
+  return uint64_t{v} * 0x9e3779b97f4a7c15ULL;
+}
+
+/// Counts the keys of in[0, s) other than kNoVertex in the linear-probing
+/// table [table, table + size): zeroed slots (count 0 marks an empty one),
+/// at least twice as many as keys. Moves the distinct (key, count) pairs to
+/// the front of the table and returns how many there are. `bucket_bits` is
+/// the number of hash bits the partition already consumed.
+inline size_t CountInTable(const vertex_id* in, size_t s,
+                           unsigned bucket_bits, KeyCount* table,
+                           size_t size) {
+  for (size_t i = 0; i < s; ++i) {
+    const vertex_id v = in[i];
+    if (v == kNoVertex) continue;
+    const uint64_t h = (KeyHash(v) << bucket_bits) >> 32;
+    size_t j = static_cast<size_t>((h * size) >> 32);
+    while (table[j].second != 0 && table[j].first != v) {
+      if (++j == size) j = 0;
+    }
+    table[j].first = v;
+    ++table[j].second;
+  }
+  size_t g = 0;
+  // Branch-free: about half the slots are empty, so a branch would miss.
+  for (size_t j = 0; j < size; ++j) {
+    const KeyCount kc = table[j];
+    table[g] = kc;
+    g += kc.second != 0 ? 1 : 0;
+  }
+  return g;
+}
+
+}  // namespace internal
+
+/// Sparse histogram: (key, count) for every distinct key of `keys` other
+/// than kNoVertex, in unspecified order. A semisort: O(k) expected work and
+/// O(k) transient words. Charges are a function of k, the live keys and the
+/// distinct keys only, so they do not depend on width or schedule.
 inline std::vector<std::pair<vertex_id, uint32_t>> HistogramKeys(
-    std::vector<vertex_id> keys) {
-  if (keys.empty()) return {};
-  nvram::Cost().ChargeWorkRead(keys.size());
-  parallel_sort_inplace(keys);
-  auto bounds = group_boundaries_sorted(keys);
-  size_t groups = bounds.size() - 1;
-  auto out = tabulate<std::pair<vertex_id, uint32_t>>(groups, [&](size_t i) {
-    return std::make_pair(keys[bounds[i]],
-                          static_cast<uint32_t>(bounds[i + 1] - bounds[i]));
-  });
-  nvram::Cost().ChargeWorkWrite(out.size());
+    const std::vector<vertex_id>& keys) {
+  using internal::KeyCount;
+  const size_t k = keys.size();
+  if (k == 0) return {};
+  const size_t num_buckets = std::bit_ceil(
+      (k + internal::kSemisortBucketKeys - 1) / internal::kSemisortBucketKeys);
+  if (num_buckets == 1) {
+    std::vector<KeyCount> table(2 * k);
+    table.resize(internal::CountInTable(keys.data(), k, 0, table.data(),
+                                        table.size()));
+    uint64_t live = 0;
+    for (const auto& kc : table) live += kc.second;
+    // One pass over the keys; writes: the table counts, the output.
+    nvram::Cost().ChargeWorkRead(k);
+    nvram::Cost().ChargeWorkWrite(live + table.size());
+    return table;
+  }
+
+  // Partition: count each block's live keys per bucket, prefix-sum the
+  // counts bucket-major, then scatter. Blocks are at least 8x the bucket
+  // count, so the count matrix stays below k/8 words.
+  const unsigned bucket_bits = std::countr_zero(num_buckets);
+  auto bucket_of = [&](vertex_id v) {
+    return static_cast<size_t>(internal::KeyHash(v) >> (64 - bucket_bits));
+  };
+  const size_t block = std::max(internal::BlockSize(k), 8 * num_buckets);
+  const size_t nb = internal::NumBlocks(k, block);
+  std::vector<size_t> counts(nb * num_buckets, 0);
+  parallel_for(
+      0, nb,
+      [&](size_t b) {
+        size_t* row = counts.data() + b * num_buckets;
+        for (size_t i = b * block, hi = std::min(k, i + block); i < hi; ++i) {
+          if (keys[i] != kNoVertex) ++row[bucket_of(keys[i])];
+        }
+      },
+      1);
+  // start[h]: bucket h's first partitioned key; slot[h]: its table's first
+  // slot (two per key).
+  std::vector<size_t> start(num_buckets + 1), slot(num_buckets + 1);
+  size_t live = 0;
+  for (size_t h = 0; h < num_buckets; ++h) {
+    start[h] = live;
+    slot[h] = 2 * live;
+    for (size_t b = 0; b < nb; ++b) {
+      size_t c = counts[b * num_buckets + h];
+      counts[b * num_buckets + h] = live;
+      live += c;
+    }
+  }
+  start[num_buckets] = live;
+  slot[num_buckets] = 2 * live;
+  auto part = std::make_unique_for_overwrite<vertex_id[]>(live);
+  parallel_for(
+      0, nb,
+      [&](size_t b) {
+        size_t* pos = counts.data() + b * num_buckets;
+        for (size_t i = b * block, hi = std::min(k, i + block); i < hi; ++i) {
+          if (keys[i] != kNoVertex) part[pos[bucket_of(keys[i])]++] = keys[i];
+        }
+      },
+      1);
+
+  // Count each bucket in its own table, then concatenate the distinct pairs.
+  std::vector<KeyCount> tables(2 * live);
+  std::vector<size_t> distinct(num_buckets + 1, 0);
+  parallel_for(
+      0, num_buckets,
+      [&](size_t h) {
+        distinct[h] = internal::CountInTable(
+            part.get() + start[h], start[h + 1] - start[h], bucket_bits,
+            tables.data() + slot[h], slot[h + 1] - slot[h]);
+      },
+      1);
+  size_t groups = 0;
+  for (size_t h = 0; h < num_buckets; ++h) {
+    size_t g = distinct[h];
+    distinct[h] = groups;
+    groups += g;
+  }
+  distinct[num_buckets] = groups;
+  std::vector<KeyCount> out(groups);
+  parallel_for(
+      0, num_buckets,
+      [&](size_t h) {
+        std::copy_n(tables.begin() + slot[h], distinct[h + 1] - distinct[h],
+                    out.begin() + distinct[h]);
+      },
+      1);
+  // Reads: the count and scatter passes over the k gathered keys, the table
+  // pass over the live ones. Writes: the partition, the table counts, the
+  // output.
+  nvram::Cost().ChargeWorkRead(2 * k + live);
+  nvram::Cost().ChargeWorkWrite(2 * live + groups);
   return out;
 }
 
@@ -58,8 +198,7 @@ std::vector<std::pair<vertex_id, uint32_t>> SparseNeighborHistogram(
       keys[j++] = pred(v) ? v : kNoVertex;
     });
   });
-  auto live = filter(keys, [](vertex_id v) { return v != kNoVertex; });
-  return HistogramKeys(std::move(live));
+  return HistogramKeys(keys);
 }
 
 /// Dense histogram: for every vertex v with pred(v), counts v's neighbors
@@ -91,12 +230,11 @@ std::vector<std::pair<vertex_id, uint32_t>> DenseNeighborHistogram(
 }
 
 /// Direction-optimizing neighbor histogram: picks the sparse or dense path
-/// based on the frontier's incident edge count vs. threshold m/c (the
-/// paper's t = m/c with a default c of 20). May densify/sparsify `frontier`.
+/// based on the frontier's incident edge count vs. the threshold
+/// t = m / kHistogramThresholdDen. May densify/sparsify `frontier`.
 template <typename GraphT, typename Pred>
 std::vector<std::pair<vertex_id, uint32_t>> NeighborHistogram(
-    const GraphT& g, VertexSubset& frontier, const Pred& pred,
-    size_t threshold_den = 20) {
+    const GraphT& g, VertexSubset& frontier, const Pred& pred) {
   if (frontier.IsEmpty()) return {};
   uint64_t deg;
   if (frontier.is_dense()) {
@@ -109,7 +247,7 @@ std::vector<std::pair<vertex_id, uint32_t>> NeighborHistogram(
     deg = reduce_add<uint64_t>(ids.size(),
                                [&](size_t i) { return g.degree(ids[i]); });
   }
-  uint64_t threshold = g.num_edges() / threshold_den;
+  uint64_t threshold = g.num_edges() / internal::kHistogramThresholdDen;
   if (deg + frontier.size() > std::max<uint64_t>(threshold, 1)) {
     frontier.ToDense();
     return DenseNeighborHistogram(g, frontier, pred);

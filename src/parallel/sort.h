@@ -1,7 +1,7 @@
 // Parallel comparison sort (merge sort with parallel merge), counting sort
 // for small key ranges, and sort-derived utilities (deduplication, random
-// permutation, grouping). Used by the histogram primitive, graph building,
-// and several algorithms (maximal matching, connectivity contraction).
+// permutation, grouping). Used by graph building and several algorithms
+// (maximal matching, connectivity contraction).
 #pragma once
 
 #include <algorithm>
@@ -172,7 +172,7 @@ inline std::vector<uint32_t> random_permutation(size_t n, uint64_t seed) {
 
 /// Returns, for a sorted vector, the start index of each run of equal keys
 /// (plus n as a sentinel). Combined with the sorted data this provides a
-/// "group by key" view used by the sparse histogram.
+/// "group by key" view.
 template <typename T>
 std::vector<size_t> group_boundaries_sorted(const std::vector<T>& sorted) {
   const size_t n = sorted.size();

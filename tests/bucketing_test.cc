@@ -1,8 +1,10 @@
 // Tests for the semi-eager bucketing structure (Appendix B).
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/bucketing.h"
 
 namespace sage {
@@ -97,6 +99,163 @@ TEST(Buckets, OverflowBucketsAreReached) {
     order.push_back(bkt.id);
   }
   EXPECT_EQ(order, (std::vector<bucket_id>{0, 1000, 2000, 3000, 4000, 5000}));
+}
+
+TEST(Buckets, RefillYieldsEachVertexOnce) {
+  // Vertex 0 moves between two buckets outside the open window; the refill
+  // must place it, and NextBucket yield it, once.
+  Buckets b(3, [](vertex_id v) { return v == 0 ? 1000 : kNullBucket; },
+            BucketOrder::kIncreasing);
+  b.UpdateBuckets({{0, 900}});
+  auto bkt = b.NextBucket();
+  EXPECT_EQ(bkt.id, 900u);
+  EXPECT_EQ(bkt.vertices, std::vector<vertex_id>{0});
+  EXPECT_EQ(b.NextBucket().id, kNullBucket);
+}
+
+/// Sequential model of Buckets: a map from vertex to bucket, a floor at the
+/// key of the last extracted bucket, and extraction of the lowest key.
+class BucketModel {
+ public:
+  BucketModel(std::vector<bucket_id> bucket, BucketOrder order,
+              bucket_id max_bucket)
+      : bucket_(std::move(bucket)), order_(order), max_bucket_(max_bucket) {}
+
+  bucket_id Key(bucket_id b) const {
+    return order_ == BucketOrder::kIncreasing ? b : max_bucket_ - b;
+  }
+  bucket_id floor_key() const { return floor_key_; }
+  bucket_id BucketOf(vertex_id v) const { return bucket_[v]; }
+
+  void Update(vertex_id v, bucket_id b) {
+    if (b != kNullBucket && Key(b) < floor_key_) b = Key(floor_key_);
+    bucket_[v] = b;
+  }
+
+  /// (bucket id, sorted members) of the next bucket; kNullBucket when empty.
+  std::pair<bucket_id, std::vector<vertex_id>> Next() {
+    bucket_id best = kNullBucket;
+    for (bucket_id b : bucket_) {
+      if (b != kNullBucket && (best == kNullBucket || Key(b) < Key(best))) {
+        best = b;
+      }
+    }
+    std::vector<vertex_id> members;
+    if (best == kNullBucket) return {kNullBucket, members};
+    for (vertex_id v = 0; v < bucket_.size(); ++v) {
+      if (bucket_[v] == best) {
+        members.push_back(v);
+        bucket_[v] = kNullBucket;
+      }
+    }
+    floor_key_ = Key(best);
+    return {best, members};
+  }
+
+ private:
+  std::vector<bucket_id> bucket_;
+  BucketOrder order_;
+  bucket_id max_bucket_;
+  bucket_id floor_key_ = 0;
+};
+
+/// Replays a seeded random stream of updates and extractions against
+/// Buckets (with `num_open` open buckets) and the model. Targets cover
+/// removals, clamps below the floor, moves inside the open window, moves
+/// out to overflow and back, and no-op moves; batches reach several
+/// placement blocks.
+void RunRandomStream(BucketOrder order, uint64_t seed, size_t num_open) {
+  const vertex_id n = 6000;
+  const bucket_id max_bucket = 2000;  // bounds keys in decreasing order
+  Rng rng(seed);
+  std::vector<bucket_id> init(n);
+  for (auto& b : init) {
+    b = rng.Next(8) == 0 ? kNullBucket
+                         : static_cast<bucket_id>(rng.Next(300));
+  }
+  BucketModel model(init, order, max_bucket);
+  Buckets buckets(n, [&](vertex_id v) { return init[v]; }, order,
+                  order == BucketOrder::kDecreasing ? max_bucket : 0,
+                  num_open);
+  ASSERT_LE(buckets.StoredEntries(), 2u * n);
+  auto target = [&](vertex_id v) -> bucket_id {
+    const uint64_t floor = model.floor_key();
+    uint64_t key;
+    switch (rng.Next(6)) {
+      case 0:
+        return kNullBucket;
+      case 1:  // below the floor: clamped
+        key = floor - std::min<uint64_t>(floor, 1 + rng.Next(50));
+        break;
+      case 2:  // inside the open window
+        key = floor + rng.Next(num_open);
+        break;
+      case 3:  // out to overflow
+        key = floor + num_open + rng.Next(400);
+        break;
+      case 4:  // just around the window's edge
+        key = floor + num_open - 4 + rng.Next(8);
+        break;
+      default:  // stays (or enters at the floor)
+        if (model.BucketOf(v) != kNullBucket) return model.BucketOf(v);
+        key = floor;
+        break;
+    }
+    key = std::min<uint64_t>(key, max_bucket);
+    return model.Key(static_cast<bucket_id>(key));
+  };
+  for (int step = 0; step < 600; ++step) {
+    if (rng.Next(2) == 0) {
+      // A batch of distinct vertices, sometimes larger than one block.
+      const size_t k = rng.Next(4) == 0 ? 1500 + rng.Next(4000)
+                                        : 1 + rng.Next(200);
+      std::vector<vertex_id> ids(n);
+      for (vertex_id v = 0; v < n; ++v) ids[v] = v;
+      for (size_t i = 0; i < k; ++i) {
+        std::swap(ids[i], ids[i + rng.Next(n - i)]);
+      }
+      std::vector<std::pair<vertex_id, bucket_id>> updates(k);
+      for (size_t i = 0; i < k; ++i) {
+        updates[i] = {ids[i], target(ids[i])};
+        model.Update(ids[i], updates[i].second);
+      }
+      buckets.UpdateBuckets(updates);
+      ASSERT_LE(buckets.StoredEntries(), 2u * n) << "step " << step;
+      continue;
+    }
+    auto [id, expect] = model.Next();
+    auto got = buckets.NextBucket();
+    ASSERT_EQ(got.id, id) << "step " << step;
+    std::sort(got.vertices.begin(), got.vertices.end());
+    ASSERT_EQ(std::adjacent_find(got.vertices.begin(), got.vertices.end()),
+              got.vertices.end())
+        << "bucket " << id << " repeats a vertex at step " << step;
+    ASSERT_EQ(got.vertices, expect) << "bucket " << id << " step " << step;
+    ASSERT_LE(buckets.StoredEntries(), 2u * n);
+    if (id == kNullBucket) return;
+  }
+}
+
+// The default window and an 8-bucket one, whose floor crosses it often
+// enough to refill from overflow many times per stream.
+TEST(Buckets, RandomStreamsMatchSequentialModelIncreasing) {
+  for (uint64_t seed : {1, 2, 3}) {
+    for (size_t num_open : {128, 8}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " open "
+                                      << num_open);
+      RunRandomStream(BucketOrder::kIncreasing, seed, num_open);
+    }
+  }
+}
+
+TEST(Buckets, RandomStreamsMatchSequentialModelDecreasing) {
+  for (uint64_t seed : {4, 5, 6}) {
+    for (size_t num_open : {128, 8}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " open "
+                                      << num_open);
+      RunRandomStream(BucketOrder::kDecreasing, seed, num_open);
+    }
+  }
 }
 
 TEST(Buckets, StaleEntriesAreFilteredAtExtraction) {

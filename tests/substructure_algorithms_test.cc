@@ -29,6 +29,8 @@ Graph SubGrid() { return GridGraph(25, 30); }
 Graph SubComplete() { return CompleteGraph(50); }
 Graph SubCliques() { return DisjointCliques(25, 8); }
 Graph SubStar() { return StarGraph(1500); }
+// Coreness above the 128 open buckets: peeling refills from overflow.
+Graph SubRmatDense() { return RmatGraph(10, 400'000, 1); }
 
 class SubstructureGraphs : public ::testing::TestWithParam<SubCase> {};
 
@@ -85,7 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SubCase{"grid", SubGrid},
                       SubCase{"complete", SubComplete},
                       SubCase{"cliques", SubCliques},
-                      SubCase{"star", SubStar}),
+                      SubCase{"star", SubStar},
+                      SubCase{"rmat_dense", SubRmatDense}),
     [](const auto& tpinfo) { return tpinfo.param.name; });
 
 TEST(KCore, CliqueCorenessIsSizeMinusOne) {
