@@ -93,8 +93,9 @@ void PrintUsage() {
 
 int main(int argc, char** argv) {
   CommandLine cmd(argc, argv);
-  // Every flag this driver reads; anything else is a typo or a removed
-  // flag, and running the defaults instead would hide it.
+  // Every flag this driver reads, plus -help (which prints the usage);
+  // anything else is a typo or a removed flag, and running the defaults
+  // instead would hide it.
   const auto unknown = cmd.UnknownFlags(
       {"algo", "cache", "cache-bytes", "compact", "convert",
        "convert-sharded", "deadline-ms", "edges", "gen", "graph", "help",
@@ -154,9 +155,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (cmd.Has("list") || cmd.Has("help") || !cmd.Has("algo")) {
+  if (cmd.Has("list") || !cmd.Has("algo")) {
     PrintUsage();
-    return cmd.Has("list") || cmd.Has("help") ? 0 : 1;
+    return cmd.Has("list") ? 0 : 1;
   }
 
   std::string algo = cmd.GetString("algo");

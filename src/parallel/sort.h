@@ -1,7 +1,7 @@
 // Parallel comparison sort (merge sort with parallel merge), counting sort
 // for small key ranges, and sort-derived utilities (deduplication, random
-// permutation, grouping). Used by graph building and several algorithms
-// (maximal matching, connectivity contraction).
+// permutation). Used by graph building and several algorithms (maximal
+// matching, connectivity contraction).
 #pragma once
 
 #include <algorithm>
@@ -168,18 +168,6 @@ inline std::vector<uint32_t> random_permutation(size_t n, uint64_t seed) {
   });
   parallel_sort_inplace(keyed);
   return tabulate<uint32_t>(n, [&](size_t i) { return keyed[i].second; });
-}
-
-/// Returns, for a sorted vector, the start index of each run of equal keys
-/// (plus n as a sentinel). Combined with the sorted data this provides a
-/// "group by key" view.
-template <typename T>
-std::vector<size_t> group_boundaries_sorted(const std::vector<T>& sorted) {
-  const size_t n = sorted.size();
-  auto starts = pack_index<size_t>(
-      n, [&](size_t i) { return i == 0 || sorted[i] != sorted[i - 1]; });
-  starts.push_back(n);
-  return starts;
 }
 
 }  // namespace sage

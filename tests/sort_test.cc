@@ -121,12 +121,5 @@ TEST(RandomPermutation, DeterministicPerSeedDistinctAcrossSeeds) {
   EXPECT_NE(a, c);
 }
 
-TEST(GroupBoundaries, SegmentsSortedRuns) {
-  std::vector<int> a{2, 2, 2, 5, 5, 8};
-  auto bounds = group_boundaries_sorted(a);
-  std::vector<size_t> expect{0, 3, 5, 6};
-  EXPECT_EQ(bounds, expect);
-}
-
 }  // namespace
 }  // namespace sage
