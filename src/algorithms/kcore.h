@@ -5,8 +5,13 @@
 // O(m) scan, chosen by frontier size) instead of fetch-and-add, then moved
 // to their new buckets in one parallel placement. PSAM: O(m) expected work
 // (each edge is gathered and counted O(1) times in expectation, each
-// degree change placed once), O(rho log n) depth whp (rho = peeling
-// complexity), O(n) words of DRAM.
+// degree change placed once) and O(n) words of DRAM. The depth is not the
+// paper's O(rho log n) whp (rho = peeling complexity): parts of a round run
+// sequentially in its size. One task counts each semisort bucket, and all
+// copies of a key land in the same bucket, so a vertex that loses d
+// neighbors in a round is counted in d sequential steps. The prefix sums
+// over the partitions' count matrices (up to k/8 entries for k gathered
+// keys) and the extraction of a bucket are sequential passes too.
 #pragma once
 
 #include <vector>

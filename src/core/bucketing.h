@@ -8,9 +8,11 @@
 //
 // Placement is bulk and parallel, as in Julienne: a batch of vertices is
 // counted per destination (each open bucket plus overflow), the counts are
-// prefix-summed, and the vertices are scattered. The constructor, the
-// overflow refill and UpdateBuckets all place through this one routine,
-// which requires the vertex ids of a batch to be distinct.
+// prefix-summed, and the vertices are scattered (internal::BlockedPartition).
+// The constructor, the overflow refill and UpdateBuckets all place through
+// this one routine, which requires the vertex ids of a batch to be
+// distinct. Extraction takes a bucket's live members out in one sequential
+// pass.
 //
 // PSAM compliance: Julienne's fully lazy deletion can leave O(#updates) =
 // O(m) stale entries resident. Here every vertex records its current bucket
@@ -34,6 +36,7 @@
 #include "nvram/memory_tracker.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
+#include "parallel/sort.h"
 
 namespace sage {
 
@@ -92,21 +95,20 @@ class Buckets {
           vec.clear();
           stored_ -= raw.size();
           bucket_id id = Unkey(key);
-          auto live =
-              filter(raw, [&](vertex_id v) { return vtx_bucket_[v] == id; });
-          // Mark the members removed, each once: a repeated entry finds
-          // its vertex already removed.
+          // Take the live members out in one pass, each once: a repeated
+          // entry finds its vertex already removed.
           size_t members = 0;
-          for (vertex_id v : live) {
+          for (vertex_id v : raw) {
             if (vtx_bucket_[v] != id) continue;
             vtx_bucket_[v] = kNullBucket;
-            live[members++] = v;
+            raw[members++] = v;
           }
-          live.resize(members);
-          if (live.empty()) continue;  // all stale; keep scanning
-          nvram::Cost().ChargeWorkRead(raw.size());
-          nvram::Cost().ChargeWorkWrite(live.size());
-          return Bucket{id, std::move(live)};
+          // Reads: each entry and its vertex's slot. Writes: the slots.
+          nvram::Cost().ChargeWorkRead(2 * raw.size());
+          nvram::Cost().ChargeWorkWrite(members);
+          if (members == 0) continue;  // all stale; keep scanning
+          raw.resize(members);
+          return Bucket{id, std::move(raw)};
         }
         ++cur_offset_;
       }
@@ -185,76 +187,38 @@ class Buckets {
   }
 
   /// Appends vertex(i) to the destination of bucket(i), for every i in
-  /// [0, k) with bucket(i) != kNullBucket. bucket(i) is called once per i,
-  /// so it may update the vertex's state. Each block counts its vertices
-  /// per destination, the counts are prefix-summed destination-major, and
-  /// each block scatters behind the destination's current entries, so
-  /// every destination keeps batch order. The vertices must be distinct.
+  /// [0, k) with bucket(i) != kNullBucket, keeping batch order in every
+  /// destination. bucket(i) is called once per i, so it may update the
+  /// vertex's state. The vertices must be distinct.
   template <typename VertexF, typename BucketF>
   void Place(size_t k, const VertexF& vertex, const BucketF& bucket) {
-    if (num_workers() == 1) {  // same order, without the counting passes
-      for (size_t i = 0; i < k; ++i) {
-        bucket_id b = bucket(i);
-        if (b == kNullBucket) continue;
-        DestVector(Dest(b)).push_back(vertex(i));
-        ++stored_;
-      }
-      return;
-    }
-    if (k == 0) return;
     const size_t nd = num_open_ + 1;
-    // Blocks are at least 8x the destinations: the count matrix stays
-    // below k/8 words.
-    const size_t block = std::max(internal::BlockSize(k), 8 * nd);
-    const size_t nb = internal::NumBlocks(k, block);
-    std::vector<size_t> counts(nb * nd, 0);
     std::vector<uint32_t> dest(k);  // nd: no new entry
-    parallel_for(
-        0, nb,
-        [&](size_t blk) {
-          size_t* row = counts.data() + blk * nd;
-          for (size_t i = blk * block, hi = std::min(k, i + block); i < hi;
-               ++i) {
-            const bucket_id b = bucket(i);
-            const size_t d = b == kNullBucket ? nd : Dest(b);
-            dest[i] = static_cast<uint32_t>(d);
-            if (d < nd) ++row[d];
-          }
+    parallel_for(0, k, [&](size_t i) {
+      const bucket_id b = bucket(i);
+      dest[i] = static_cast<uint32_t>(b == kNullBucket ? nd : Dest(b));
+    });
+    internal::BlockedPartition(
+        k, nd, [&](size_t i) { return size_t{dest[i]}; },
+        [&](size_t d, size_t c) {
+          auto& vec = DestVector(d);
+          const size_t first = vec.size();
+          vec.resize(first + c);
+          stored_ += c;
+          return first;
         },
-        1);
-    for (size_t d = 0; d < nd; ++d) {
-      auto& vec = DestVector(d);
-      size_t pos = vec.size();
-      for (size_t blk = 0; blk < nb; ++blk) {
-        size_t c = counts[blk * nd + d];
-        counts[blk * nd + d] = pos;
-        pos += c;
-      }
-      stored_ += pos - vec.size();
-      vec.resize(pos);
-    }
-    parallel_for(
-        0, nb,
-        [&](size_t blk) {
-          size_t* pos = counts.data() + blk * nd;
-          for (size_t i = blk * block, hi = std::min(k, i + block); i < hi;
-               ++i) {
-            const size_t d = dest[i];
-            if (d < nd) DestVector(d)[pos[d]++] = vertex(i);
-          }
-        },
-        1);
+        [&](size_t i, size_t d, size_t pos) {
+          DestVector(d)[pos] = vertex(i);
+        });
   }
 
   /// Rebuilds the open window from overflow entries. Returns false when the
   /// structure is exhausted.
   bool RefillFromOverflow() {
-    auto live = filter(overflow_, [&](vertex_id v) {
-      return vtx_bucket_[v] != kNullBucket;
-    });
-    stored_ -= overflow_.size();
+    std::vector<vertex_id> live = std::move(overflow_);
     overflow_.clear();
-    // One entry per vertex: take each vertex out while recording its
+    stored_ -= live.size();
+    // One entry per vertex: take each live vertex out while recording its
     // bucket, so a repeated entry finds it gone.
     std::vector<bucket_id> bucket(live.size());
     size_t members = 0;
@@ -264,6 +228,8 @@ class Buckets {
       vtx_bucket_[v] = kNullBucket;
       live[members++] = v;
     }
+    // Reads: each entry and its vertex's slot.
+    nvram::Cost().ChargeWorkRead(2 * live.size());
     if (members == 0) return false;
     cur_base_ = reduce(
         members, [&](size_t i) { return Key(bucket[i]); },

@@ -3,13 +3,14 @@
 // without fetch-and-add contention.
 //
 // Two modes, as in the paper:
-//  - sparse: a semisort. One count/prefix-sum/scatter pass hash-partitions
-//    the live gathered keys into buckets of about kSemisortBucketKeys keys,
-//    and each bucket is counted in its own linear-probing table. O(k)
-//    expected work and O(k) transient words for k gathered keys, no shared
-//    counters; the (key, count) pairs come out in unspecified order. The
-//    caller only uses this when the frontier's incident edge count is below
-//    a threshold t = m/c.
+//  - sparse: a semisort. One count/prefix-sum/scatter pass
+//    (internal::BlockedPartition) hash-partitions the live gathered keys
+//    into buckets of about kSemisortBucketKeys keys, and each bucket is
+//    counted in its own linear-probing table. O(k) expected work and O(k)
+//    transient words for k gathered keys, no shared counters; the
+//    (key, count) pairs come out in unspecified order. The caller only
+//    uses this when the frontier's incident edge count is below a
+//    threshold t = m/c.
 //  - dense: when the frontier is large, iterate over *all* vertices and
 //    count their neighbors in the frontier (O(m) work, O(n) memory). This
 //    is the "dense histogram" optimization described for k-core.
@@ -26,6 +27,7 @@
 #include "nvram/cost_model.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
+#include "parallel/sort.h"
 
 namespace sage {
 
@@ -100,50 +102,27 @@ inline std::vector<std::pair<vertex_id, uint32_t>> HistogramKeys(
     return table;
   }
 
-  // Partition: count each block's live keys per bucket, prefix-sum the
-  // counts bucket-major, then scatter. Blocks are at least 8x the bucket
-  // count, so the count matrix stays below k/8 words.
+  // Partition the live keys by bucket. start[h]: bucket h's first key in
+  // `part`; its table starts at slot 2 * start[h] (two slots per key).
   const unsigned bucket_bits = std::countr_zero(num_buckets);
-  auto bucket_of = [&](vertex_id v) {
-    return static_cast<size_t>(internal::KeyHash(v) >> (64 - bucket_bits));
-  };
-  const size_t block = std::max(internal::BlockSize(k), 8 * num_buckets);
-  const size_t nb = internal::NumBlocks(k, block);
-  std::vector<size_t> counts(nb * num_buckets, 0);
-  parallel_for(
-      0, nb,
-      [&](size_t b) {
-        size_t* row = counts.data() + b * num_buckets;
-        for (size_t i = b * block, hi = std::min(k, i + block); i < hi; ++i) {
-          if (keys[i] != kNoVertex) ++row[bucket_of(keys[i])];
-        }
-      },
-      1);
-  // start[h]: bucket h's first partitioned key; slot[h]: its table's first
-  // slot (two per key).
-  std::vector<size_t> start(num_buckets + 1), slot(num_buckets + 1);
+  std::vector<size_t> start(num_buckets + 1);
   size_t live = 0;
-  for (size_t h = 0; h < num_buckets; ++h) {
-    start[h] = live;
-    slot[h] = 2 * live;
-    for (size_t b = 0; b < nb; ++b) {
-      size_t c = counts[b * num_buckets + h];
-      counts[b * num_buckets + h] = live;
-      live += c;
-    }
-  }
-  start[num_buckets] = live;
-  slot[num_buckets] = 2 * live;
-  auto part = std::make_unique_for_overwrite<vertex_id[]>(live);
-  parallel_for(
-      0, nb,
-      [&](size_t b) {
-        size_t* pos = counts.data() + b * num_buckets;
-        for (size_t i = b * block, hi = std::min(k, i + block); i < hi; ++i) {
-          if (keys[i] != kNoVertex) part[pos[bucket_of(keys[i])]++] = keys[i];
-        }
+  auto part = std::make_unique_for_overwrite<vertex_id[]>(k);
+  internal::BlockedPartition(
+      k, num_buckets,
+      [&](size_t i) {
+        return keys[i] == kNoVertex
+                   ? num_buckets
+                   : static_cast<size_t>(internal::KeyHash(keys[i]) >>
+                                         (64 - bucket_bits));
       },
-      1);
+      [&](size_t h, size_t c) {
+        start[h] = live;
+        live += c;
+        return start[h];
+      },
+      [&](size_t i, size_t, size_t pos) { part[pos] = keys[i]; });
+  start[num_buckets] = live;
 
   // Count each bucket in its own table, then concatenate the distinct pairs.
   std::vector<KeyCount> tables(2 * live);
@@ -153,7 +132,7 @@ inline std::vector<std::pair<vertex_id, uint32_t>> HistogramKeys(
       [&](size_t h) {
         distinct[h] = internal::CountInTable(
             part.get() + start[h], start[h + 1] - start[h], bucket_bits,
-            tables.data() + slot[h], slot[h + 1] - slot[h]);
+            tables.data() + 2 * start[h], 2 * (start[h + 1] - start[h]));
       },
       1);
   size_t groups = 0;
@@ -167,8 +146,8 @@ inline std::vector<std::pair<vertex_id, uint32_t>> HistogramKeys(
   parallel_for(
       0, num_buckets,
       [&](size_t h) {
-        std::copy_n(tables.begin() + slot[h], distinct[h + 1] - distinct[h],
-                    out.begin() + distinct[h]);
+        std::copy_n(tables.begin() + 2 * start[h],
+                    distinct[h + 1] - distinct[h], out.begin() + distinct[h]);
       },
       1);
   // Reads: the count and scatter passes over the k gathered keys, the table

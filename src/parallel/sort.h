@@ -1,7 +1,8 @@
 // Parallel comparison sort (merge sort with parallel merge), counting sort
 // for small key ranges, and sort-derived utilities (deduplication, random
 // permutation). Used by graph building and several algorithms (maximal
-// matching, connectivity contraction).
+// matching, connectivity contraction). The blocked partition behind the
+// counting sort also drives the histogram's semisort and bucket placement.
 #pragma once
 
 #include <algorithm>
@@ -80,6 +81,61 @@ void MergeSortRecurse(T* a, T* buf, size_t n, const Cmp& cmp, bool to_buf) {
   }
 }
 
+/// Stable blocked partition, the passes of a counting sort: each block of
+/// items counts its items per destination, the counts are prefix-summed
+/// destination-major, and each block scatters its items behind those of
+/// earlier blocks. Moves the items [0, n) to destinations [0, nd):
+///  - dest(i) is item i's destination, or nd to drop the item. It is called
+///    in the count pass and again in the scatter pass, so it must return
+///    the same value both times.
+///  - first(d, c) is called between the passes, for d = 0, ..., nd - 1 in
+///    order, with the number c of items bound for d. It returns the
+///    position of d's first item.
+///  - emit(i, d, pos) is called once per kept item. The items of one
+///    destination get consecutive positions from first(d, c) on, in item
+///    order.
+/// Blocks are at least 8x the destinations, so the count matrix stays below
+/// n/8 words.
+template <typename DestF, typename FirstF, typename EmitF>
+void BlockedPartition(size_t n, size_t nd, const DestF& dest,
+                      const FirstF& first, const EmitF& emit) {
+  const size_t block = std::max(BlockSize(n), 8 * nd);
+  const size_t nb = NumBlocks(n, block);
+  // nb x nd, row-major: each block's count per destination, then its
+  // position relative to the destination's first item.
+  std::vector<size_t> pos(nb * nd, 0);
+  parallel_for(
+      0, nb,
+      [&](size_t b) {
+        size_t* row = pos.data() + b * nd;
+        for (size_t i = b * block, hi = std::min(n, i + block); i < hi; ++i) {
+          const size_t d = dest(i);
+          if (d < nd) ++row[d];
+        }
+      },
+      1);
+  std::vector<size_t> base(nd);
+  for (size_t d = 0; d < nd; ++d) {
+    size_t c = 0;
+    for (size_t b = 0; b < nb; ++b) {
+      const size_t cb = pos[b * nd + d];
+      pos[b * nd + d] = c;
+      c += cb;
+    }
+    base[d] = first(d, c);
+  }
+  parallel_for(
+      0, nb,
+      [&](size_t b) {
+        size_t* row = pos.data() + b * nd;
+        for (size_t i = b * block, hi = std::min(n, i + block); i < hi; ++i) {
+          const size_t d = dest(i);
+          if (d < nd) emit(i, d, base[d] + row[d]++);
+        }
+      },
+      1);
+}
+
 }  // namespace internal
 
 /// Stable parallel sort of `a` in place.
@@ -112,40 +168,19 @@ std::vector<T> parallel_sort(std::vector<T> a, const Cmp& cmp = Cmp()) {
 template <typename KeyT>
 std::pair<std::vector<size_t>, std::vector<size_t>> counting_sort(
     const std::vector<KeyT>& keys, size_t num_buckets) {
-  const size_t n = keys.size();
-  const size_t block = std::max<size_t>(internal::BlockSize(n), num_buckets);
-  const size_t nb = n == 0 ? 0 : internal::NumBlocks(n, block);
-  // counts is a nb x num_buckets matrix in row-major order.
-  std::vector<size_t> counts(nb * num_buckets, 0);
-  parallel_for(
-      0, nb,
-      [&](size_t b) {
-        size_t lo = b * block, hi = std::min(n, lo + block);
-        size_t* row = counts.data() + b * num_buckets;
-        for (size_t i = lo; i < hi; ++i) row[keys[i]]++;
-      },
-      1);
-  // Column-major scan gives, for each (bucket, block), the start position.
+  std::vector<size_t> order(keys.size());
   std::vector<size_t> offsets(num_buckets + 1, 0);
-  std::vector<size_t> col(nb * num_buckets, 0);
   size_t running = 0;
-  for (size_t k = 0; k < num_buckets; ++k) {
-    offsets[k] = running;
-    for (size_t b = 0; b < nb; ++b) {
-      col[b * num_buckets + k] = running;
-      running += counts[b * num_buckets + k];
-    }
-  }
-  offsets[num_buckets] = running;
-  std::vector<size_t> order(n);
-  parallel_for(
-      0, nb,
-      [&](size_t b) {
-        size_t lo = b * block, hi = std::min(n, lo + block);
-        size_t* pos = col.data() + b * num_buckets;
-        for (size_t i = lo; i < hi; ++i) order[pos[keys[i]]++] = i;
+  internal::BlockedPartition(
+      keys.size(), num_buckets,
+      [&](size_t i) { return static_cast<size_t>(keys[i]); },
+      [&](size_t k, size_t c) {
+        offsets[k] = running;
+        running += c;
+        return offsets[k];
       },
-      1);
+      [&](size_t i, size_t, size_t pos) { order[pos] = i; });
+  offsets[num_buckets] = running;
   return {std::move(order), std::move(offsets)};
 }
 

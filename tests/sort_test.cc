@@ -94,6 +94,39 @@ TEST(CountingSort, EmptyInput) {
   for (auto o : offsets) EXPECT_EQ(o, 0u);
 }
 
+TEST(BlockedPartition, DropsItemsAndPlacesFromFirstPositions) {
+  Rng rng(6);
+  const size_t n = 50000, nd = 9;
+  std::vector<uint32_t> dest(n);  // nd drops the item
+  for (auto& d : dest) d = static_cast<uint32_t>(rng.Next(nd + 1));
+  // Destination d starts at (n + 7) * d + 7, as an append behind 7
+  // entries would; each has room for every item.
+  std::vector<size_t> out((n + 7) * nd, n), first(nd), count(nd);
+  size_t calls = 0;
+  internal::BlockedPartition(
+      n, nd, [&](size_t i) { return size_t{dest[i]}; },
+      [&](size_t d, size_t c) {
+        EXPECT_EQ(d, calls++);  // in destination order
+        count[d] = c;
+        return first[d] = (n + 7) * d + 7;
+      },
+      [&](size_t i, size_t d, size_t pos) {
+        EXPECT_EQ(dest[i], d);
+        out[pos] = i;
+      });
+  ASSERT_EQ(calls, nd);
+  for (size_t d = 0; d < nd; ++d) {
+    std::vector<size_t> expect;
+    for (size_t i = 0; i < n; ++i) {
+      if (dest[i] == d) expect.push_back(i);
+    }
+    ASSERT_EQ(count[d], expect.size());
+    // Consecutive positions from first[d] on, in item order.
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                           out.begin() + static_cast<ptrdiff_t>(first[d])));
+  }
+}
+
 TEST(UniqueSorted, RemovesDuplicates) {
   std::vector<int> a{1, 1, 2, 3, 3, 3, 7, 9, 9};
   std::vector<int> expect{1, 2, 3, 7, 9};
