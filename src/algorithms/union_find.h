@@ -53,16 +53,6 @@ class AtomicUnionFind {
     }
   }
 
-  /// True if a and b are currently in the same set.
-  bool SameSet(vertex_id a, vertex_id b) {
-    while (true) {
-      vertex_id ra = Find(a), rb = Find(b);
-      if (ra == rb) return true;
-      // ra is a root at the time of the check; confirm it still is.
-      if (parent_[ra].load(std::memory_order_relaxed) == ra) return false;
-    }
-  }
-
   vertex_id size() const { return static_cast<vertex_id>(parent_.size()); }
 
  private:

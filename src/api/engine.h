@@ -33,10 +33,10 @@
 //   auto r = engine.Run("bfs");       // r.graph_epoch == 1, sees (3, 9)
 //   engine.Compact();                 // delta folded in; epoch 2, delta 0
 //
-// Thread-safety contract: Submit(), Run(), graph(), WeightedTwin(),
-// ApplyUpdates(), Compact(), and PinSnapshot() may be called from any
-// number of threads concurrently; each run executes under its own
-// nvram::ExecutionContext, so reports never bleed into each other.
+// Thread-safety contract: Submit(), Run(), graph(), ApplyUpdates(),
+// Compact(), and PinSnapshot() may be called from any number of threads
+// concurrently; each run executes under its own nvram::ExecutionContext,
+// so reports never bleed into each other.
 // context() returns a mutable reference and must not be modified while
 // queries are in flight. Moving an Engine is cheap (its state is heap-held
 // and address-stable) but must not race in-flight queries.
@@ -328,16 +328,6 @@ class Engine {
       }
     });
     return *s.service;
-  }
-
-  /// The weighted twin for `seed`: the epoch-0 graph itself when it
-  /// carries weights, else a synthesized copy cached per seed (up to
-  /// kMaxCachedTwins distinct seeds; beyond that nullptr, and runs
-  /// synthesize per-run instead of growing the cache without bound).
-  /// Thread-safe; a returned pointer stays valid for the engine's
-  /// lifetime.
-  const Graph* WeightedTwin(uint64_t seed) {
-    return WeightedTwinFor(*state_, seed);
   }
 
   /// Distinct weight seeds whose twins the engine keeps resident. Each

@@ -25,6 +25,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/macros.h"
@@ -129,7 +130,9 @@ class GraphFilter {
   void MapActive(vertex_id v, const F& f) const {
     uint64_t first = first_block_[v];
     for (uint32_t k = 0; k < num_blocks_[v]; ++k) {
-      DecodeAndVisit(v, first + k, f);
+      nvram::Cost().ChargeWorkRead(words_per_block_ + 2);  // bits + metadata
+      ForEachActive(v, first + k,
+                    [&](uint32_t, uint32_t, vertex_id u) { f(v, u); });
     }
   }
 
@@ -266,56 +269,13 @@ class GraphFilter {
     return c;
   }
 
-  /// Visits active edges of one filter block, decoding the corresponding
-  /// logical block from the graph.
-  template <typename F>
-  void DecodeAndVisit(vertex_id v, uint64_t blk, const F& f) const {
-    auto& cm = nvram::Cost();
-    uint32_t orig = block_orig_[blk];
-    const uint64_t* w = BlockWords(blk);
-    cm.ChargeWorkRead(words_per_block_ + 2);  // bits + metadata
-    blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
-    if constexpr (GraphT::kCompressed) {
-      // Decode the whole compressed block, then select active bits.
-      vertex_id nbrs[CompressedGraph::kMaxBlockSize];
-      uint32_t k = g_.DecodeBlock(v, orig, nbrs, nullptr);
-      edges_decoded_.fetch_add(k, std::memory_order_relaxed);
-      for (uint32_t word = 0; word < words_per_block_; ++word) {
-        uint64_t x = w[word];
-        while (x != 0) {
-          uint32_t bit = static_cast<uint32_t>(std::countr_zero(x));
-          x &= x - 1;  // blsr
-          uint32_t idx = word * 64 + bit;
-          SAGE_DCHECK(idx < k);
-          f(v, nbrs[idx]);
-        }
-      }
-    } else {
-      uint64_t base = uint64_t{orig} * fb_;
-      uint64_t active = 0;
-      for (uint32_t word = 0; word < words_per_block_; ++word) {
-        uint64_t x = w[word];
-        while (x != 0) {
-          uint32_t bit = static_cast<uint32_t>(std::countr_zero(x));
-          x &= x - 1;
-          f(v, g_.NeighborAt(v, base + uint64_t{word} * 64 + bit));
-          ++active;
-        }
-      }
-      edges_decoded_.fetch_add(active, std::memory_order_relaxed);
-      cm.ChargeGraphRead(active, g_.AdjacencyAddress(v) + base);
-    }
-  }
-
   /// Clears the bits of edges in block blk failing pred; returns how many
   /// were cleared and marks targets dirty.
   template <typename Pred>
   uint64_t FilterBlock(vertex_id v, uint64_t blk, const Pred& pred) {
-    uint32_t orig = block_orig_[blk];
     uint64_t* w = BlockWords(blk);
     uint64_t cleared = 0;
-    blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
-    auto visit = [&](uint32_t word, uint32_t bit, vertex_id u) {
+    ForEachActive(v, blk, [&](uint32_t word, uint32_t bit, vertex_id u) {
       if (!pred(v, u)) {
         w[word] &= ~(1ULL << bit);
         // Many workers may mark one target; a relaxed store is still a
@@ -323,37 +283,46 @@ class GraphFilter {
         std::atomic_ref<uint8_t>(dirty_[u]).store(1, std::memory_order_relaxed);
         ++cleared;
       }
-    };
-    if constexpr (GraphT::kCompressed) {
-      vertex_id nbrs[CompressedGraph::kMaxBlockSize];
-      uint32_t k = g_.DecodeBlock(v, orig, nbrs, nullptr);
-      edges_decoded_.fetch_add(k, std::memory_order_relaxed);
-      for (uint32_t word = 0; word < words_per_block_; ++word) {
-        uint64_t x = w[word];
-        while (x != 0) {
-          uint32_t bit = static_cast<uint32_t>(std::countr_zero(x));
-          x &= x - 1;
-          visit(word, bit, nbrs[word * 64 + bit]);
-        }
-      }
-    } else {
-      uint64_t base = uint64_t{orig} * fb_;
-      uint64_t active = 0;
-      for (uint32_t word = 0; word < words_per_block_; ++word) {
-        uint64_t x = w[word];
-        while (x != 0) {
-          uint32_t bit = static_cast<uint32_t>(std::countr_zero(x));
-          x &= x - 1;
-          visit(word, bit,
-                g_.NeighborAt(v, base + uint64_t{word} * 64 + bit));
-          ++active;
-        }
-      }
-      edges_decoded_.fetch_add(active, std::memory_order_relaxed);
-      nvram::Cost().ChargeGraphRead(
-          active, g_.AdjacencyAddress(v) + base);
-    }
+    });
     return cleared;
+  }
+
+  /// Calls visit(word, bit, u) for each edge whose bit is set in block blk
+  /// of v, in order; visit may clear the bit it is given. A compressed
+  /// block is decoded and charged whole. An uncompressed block is read
+  /// from v's list, and only its active edges are charged.
+  template <typename Visit>
+  void ForEachActive(vertex_id v, uint64_t blk, const Visit& visit) const {
+    const uint64_t base = uint64_t{block_orig_[blk]} * fb_;
+    const uint64_t* w = BlockWords(blk);
+    blocks_decoded_.fetch_add(1, std::memory_order_relaxed);
+    vertex_id decoded[GraphT::kCompressed ? CompressedGraph::kMaxBlockSize
+                                          : 1];
+    const vertex_id* nbrs = decoded;
+    [[maybe_unused]] uint64_t len = 0;  // edges readable from nbrs
+    if constexpr (GraphT::kCompressed) {
+      len = g_.DecodeBlock(v, block_orig_[blk], decoded, nullptr);
+      edges_decoded_.fetch_add(len, std::memory_order_relaxed);
+    } else {
+      const std::span<const vertex_id> list = g_.NeighborsUncharged(v);
+      nbrs = list.data() + base;
+      len = list.size() - base;
+    }
+    uint64_t active = 0;
+    for (uint32_t word = 0; word < words_per_block_; ++word) {
+      uint64_t x = w[word];
+      while (x != 0) {
+        uint32_t bit = static_cast<uint32_t>(std::countr_zero(x));
+        x &= x - 1;  // blsr
+        SAGE_DCHECK(word * 64 + bit < len);
+        visit(word, bit, nbrs[word * 64 + bit]);
+        ++active;
+      }
+    }
+    if constexpr (!GraphT::kCompressed) {
+      edges_decoded_.fetch_add(active, std::memory_order_relaxed);
+      g_.ChargeNeighborRead(v, base, active);
+    }
   }
 
   const GraphT& g_;

@@ -23,7 +23,7 @@
 #include "graph/types.h"
 #include "graph/varint.h"
 #include "nvram/cost_model.h"
-#include "parallel/parallel.h"
+#include "parallel/primitives.h"
 
 namespace sage {
 
@@ -176,24 +176,6 @@ class CompressedGraph {
     }
   }
 
-  /// Applies f over v's neighbors with blocks decoded in parallel.
-  template <typename F>
-  void MapNeighborsParallel(vertex_id v, const F& f) const {
-    ChargeVertex(v);
-    uint64_t nb = num_blocks(v);
-    parallel_for(
-        0, nb,
-        [&](size_t b) {
-          vertex_id nbrs[kMaxBlockSize];
-          weight_t wts[kMaxBlockSize];
-          uint32_t k = DecodeBlockUncharged(v, b, nbrs, wts);
-          for (uint32_t i = 0; i < k; ++i) {
-            f(v, nbrs[i], weighted_ ? wts[i] : weight_t{1});
-          }
-        },
-        1);
-  }
-
   /// Parallel monoid reduce over v's neighborhood (block-parallel).
   template <typename T, typename G, typename Op>
   T ReduceNeighbors(vertex_id v, const G& g, const Op& op, T id) const {
@@ -212,11 +194,6 @@ class CompressedGraph {
           return acc;
         },
         op, id);
-  }
-
-  /// Global word address of v's first block (NUMA/cache hints).
-  uint64_t AdjacencyAddress(vertex_id v) const {
-    return block_bytes_offset_[first_block_[v]] / 8;
   }
 
   /// The raw encoded edge bytes (for validation and size inspection).
@@ -240,10 +217,6 @@ class CompressedGraph {
   }
   void ChargeBytes(uint64_t byte_addr, uint64_t bytes) const {
     nvram::Cost().ChargeGraphRead(1 + bytes / 8, byte_addr / 8);
-  }
-
-  vertex_id NumVerticesInternal() const {
-    return static_cast<vertex_id>(degrees_.size());
   }
 
   std::vector<vertex_id> degrees_;

@@ -10,7 +10,10 @@
 //
 // Accessors charge at neighborhood granularity (one charge per adjacency
 // list scanned) to keep instrumentation overhead well below the work being
-// measured.
+// measured. Every accessor reads v's list through one private view, which
+// alone decides whether the list is the base CSR slice or a DRAM delta
+// overlay's merged copy, and charges through one helper that picks the
+// matching memory kind.
 //
 // Storage backends: a Graph reads its CSR arrays through spans backed by a
 // GraphStorage. The default backend owns std::vectors (graphs built in
@@ -29,7 +32,6 @@
 #include "common/macros.h"
 #include "graph/types.h"
 #include "nvram/cost_model.h"
-#include "parallel/parallel.h"
 #include "parallel/primitives.h"
 
 namespace sage {
@@ -218,57 +220,35 @@ class Graph {
                   : static_cast<double>(num_edges()) / static_cast<double>(n);
   }
 
-  /// Degree of v. Charges one graph-region read (the offset words), or one
-  /// DRAM work read when v's list lives in the delta overlay. The address
-  /// hint is v's adjacency start in edge-index space, the same space every
-  /// other graph charge uses, so the NUMA model and per-shard attribution
-  /// resolve all graph traffic consistently.
+  /// Degree of v. Charges one read of v's list (a graph-region read, or a
+  /// DRAM work read when v lives in the delta overlay). The address hint is
+  /// v's adjacency start in edge-index space, the same space every other
+  /// graph charge uses, so the NUMA model and per-shard attribution resolve
+  /// all graph traffic consistently.
   vertex_id degree(vertex_id v) const {
     SAGE_DCHECK(v < num_vertices());
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      nvram::Cost().ChargeWorkRead(1, v);
-      return OverlayOf(v).degree;
-    }
-    nvram::Cost().ChargeGraphRead(1, offsets_[v]);
-    return static_cast<vertex_id>(offsets_[v + 1] - offsets_[v]);
+    const Adjacency a = View(v);
+    Charge(v, a.overlaid, 1);
+    return a.degree;
   }
 
   /// Degree without charging; for internal size computations whose cost is
   /// already accounted at a coarser granularity.
-  vertex_id degree_uncharged(vertex_id v) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) return OverlayOf(v).degree;
-    return static_cast<vertex_id>(offsets_[v + 1] - offsets_[v]);
-  }
+  vertex_id degree_uncharged(vertex_id v) const { return View(v).degree; }
 
   /// Weight of the i-th edge of v (1 for unweighted graphs). The caller's
   /// neighborhood charge covers this read.
   weight_t weight_at(vertex_id v, vertex_id i) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      return l.weights == nullptr ? weight_t{1} : l.weights[i];
-    }
-    return weights_.empty() ? 1 : weights_[offsets_[v] + i];
+    return View(v).weight(i);
   }
 
   /// Applies f(v, neighbor, weight) to each edge out of v, sequentially.
-  /// Charges the whole adjacency list as one graph read (one DRAM work
-  /// read of the same word count when v lives in the delta overlay).
+  /// Charges the whole adjacency list as one read.
   template <typename F>
   void MapNeighbors(vertex_id v, const F& f) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      ChargeOverlayNeighborhood(v, l.degree);
-      for (vertex_id i = 0; i < l.degree; ++i)
-        f(v, l.neighbors[i], l.weights == nullptr ? weight_t{1} : l.weights[i]);
-      return;
-    }
-    edge_offset lo = offsets_[v], hi = offsets_[v + 1];
-    ChargeNeighborhood(v, hi - lo);
-    if (weights_.empty()) {
-      for (edge_offset i = lo; i < hi; ++i) f(v, neighbors_[i], weight_t{1});
-    } else {
-      for (edge_offset i = lo; i < hi; ++i) f(v, neighbors_[i], weights_[i]);
-    }
+    const Adjacency a = View(v);
+    Charge(v, a.overlaid, ListWords(a.degree));
+    for (vertex_id i = 0; i < a.degree; ++i) f(v, a.neighbors[i], a.weight(i));
   }
 
   /// Like MapNeighbors but stops early when f returns false. Returns true if
@@ -276,122 +256,65 @@ class Graph {
   /// charges the worst case; early exits are a constant-factor refinement).
   template <typename F>
   bool MapNeighborsWhile(vertex_id v, const F& f) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      ChargeOverlayNeighborhood(v, l.degree);
-      for (vertex_id i = 0; i < l.degree; ++i) {
-        weight_t w = l.weights == nullptr ? weight_t{1} : l.weights[i];
-        if (!f(v, l.neighbors[i], w)) return false;
-      }
-      return true;
-    }
-    edge_offset lo = offsets_[v], hi = offsets_[v + 1];
-    ChargeNeighborhood(v, hi - lo);
-    for (edge_offset i = lo; i < hi; ++i) {
-      weight_t w = weights_.empty() ? 1 : weights_[i];
-      if (!f(v, neighbors_[i], w)) return false;
+    const Adjacency a = View(v);
+    Charge(v, a.overlaid, ListWords(a.degree));
+    for (vertex_id i = 0; i < a.degree; ++i) {
+      if (!f(v, a.neighbors[i], a.weight(i))) return false;
     }
     return true;
   }
 
   /// Applies f(v, neighbor, weight) to the edges of v with local indices in
   /// [begin, end) — one logical block of the adjacency list. Charges only
-  /// that slice. Used by edgeMapChunked and the graph filter.
+  /// that slice. Used by edgeMapChunked.
   template <typename F>
   void MapNeighborsRange(vertex_id v, edge_offset begin, edge_offset end,
                          const F& f) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      SAGE_DCHECK(end <= l.degree);
-      uint64_t words = 1 + (end - begin) + (weights_.empty() ? 0 : end - begin);
-      nvram::Cost().ChargeWorkRead(words, offsets_[v] + begin);
-      for (edge_offset i = begin; i < end; ++i)
-        f(v, l.neighbors[i], l.weights == nullptr ? weight_t{1} : l.weights[i]);
-      return;
+    const Adjacency a = View(v);
+    SAGE_DCHECK(end <= a.degree);
+    Charge(v, a.overlaid, ListWords(end - begin), begin);
+    for (edge_offset i = begin; i < end; ++i) {
+      f(v, a.neighbors[i], a.weight(i));
     }
-    edge_offset lo = offsets_[v] + begin, hi = offsets_[v] + end;
-    SAGE_DCHECK(hi <= offsets_[v + 1]);
-    uint64_t words = 1 + (hi - lo) + (weights_.empty() ? 0 : hi - lo);
-    nvram::Cost().ChargeGraphRead(words, lo);
-    if (weights_.empty()) {
-      for (edge_offset i = lo; i < hi; ++i) f(v, neighbors_[i], weight_t{1});
-    } else {
-      for (edge_offset i = lo; i < hi; ++i) f(v, neighbors_[i], weights_[i]);
-    }
-  }
-
-  /// Applies f over the neighborhood of v in parallel (for high-degree
-  /// vertices in dense traversals and per-vertex reductions).
-  template <typename F>
-  void MapNeighborsParallel(vertex_id v, const F& f) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      ChargeOverlayNeighborhood(v, l.degree);
-      parallel_for(0, l.degree, [&](size_t i) {
-        weight_t w = l.weights == nullptr ? weight_t{1} : l.weights[i];
-        f(v, l.neighbors[i], w);
-      });
-      return;
-    }
-    edge_offset lo = offsets_[v], hi = offsets_[v + 1];
-    ChargeNeighborhood(v, hi - lo);
-    parallel_for(lo, hi, [&](size_t i) {
-      weight_t w = weights_.empty() ? 1 : weights_[i];
-      f(v, neighbors_[i], w);
-    });
   }
 
   /// Reduces g(v, u, w) over v's neighborhood with a parallel monoid reduce.
   template <typename T, typename G, typename Op>
   T ReduceNeighbors(vertex_id v, const G& g, const Op& op, T id) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      ChargeOverlayNeighborhood(v, l.degree);
-      return reduce(
-          static_cast<size_t>(l.degree),
-          [&](size_t i) {
-            weight_t w = l.weights == nullptr ? weight_t{1} : l.weights[i];
-            return g(v, l.neighbors[i], w);
-          },
-          op, id);
-    }
-    edge_offset lo = offsets_[v], hi = offsets_[v + 1];
-    ChargeNeighborhood(v, hi - lo);
-    return reduce_uncharged<T>(v, lo, hi, g, op, id);
+    const Adjacency a = View(v);
+    Charge(v, a.overlaid, ListWords(a.degree));
+    return reduce(
+        size_t{a.degree},
+        [&](size_t i) { return g(v, a.neighbors[i], a.weight(i)); }, op, id);
   }
 
   /// Raw sorted neighbor ids of v (for intersections). Charges the list.
   std::span<const vertex_id> Neighbors(vertex_id v) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      ChargeOverlayNeighborhood(v, l.degree);
-      return {l.neighbors, static_cast<size_t>(l.degree)};
-    }
-    edge_offset lo = offsets_[v], hi = offsets_[v + 1];
-    ChargeNeighborhood(v, hi - lo);
-    return {neighbors_.data() + lo, static_cast<size_t>(hi - lo)};
+    const Adjacency a = View(v);
+    Charge(v, a.overlaid, ListWords(a.degree));
+    return {a.neighbors, size_t{a.degree}};
   }
 
-  /// Neighbor ids without charging (when the caller already charged, e.g.
-  /// block decoding in the graph filter).
+  /// Neighbor ids without charging (when the caller charges by block
+  /// through ChargeNeighborRead, e.g. the graph filter).
   std::span<const vertex_id> NeighborsUncharged(vertex_id v) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) {
-      internal_overlay::OverlayList l = OverlayOf(v);
-      return {l.neighbors, static_cast<size_t>(l.degree)};
-    }
-    edge_offset lo = offsets_[v], hi = offsets_[v + 1];
-    return {neighbors_.data() + lo, static_cast<size_t>(hi - lo)};
+    const Adjacency a = View(v);
+    return {a.neighbors, size_t{a.degree}};
   }
 
-  /// The neighbor at absolute position (v, i); uncharged (block-granular
-  /// callers charge once per block).
+  /// The neighbor at local index i of v; uncharged.
   vertex_id NeighborAt(vertex_id v, edge_offset i) const {
-    if (SAGE_UNLIKELY(Overlaid(v))) return OverlayOf(v).neighbors[i];
-    return neighbors_[offsets_[v] + i];
+    return View(v).neighbors[i];
   }
 
-  /// Global word address of v's adjacency list start (NUMA/cache hints).
-  uint64_t AdjacencyAddress(vertex_id v) const { return offsets_[v]; }
+  /// Charges `words` read from v's list starting at local index `begin`,
+  /// for block-granular callers that read through NeighborsUncharged: the
+  /// same kind (graph read, or DRAM work read when v is overlaid) and hint
+  /// every accessor above uses.
+  void ChargeNeighborRead(vertex_id v, edge_offset begin,
+                          uint64_t words) const {
+    Charge(v, Overlaid(v), words, begin);
+  }
 
   std::span<const edge_offset> raw_offsets() const { return offsets_; }
   std::span<const vertex_id> raw_neighbors() const { return neighbors_; }
@@ -435,36 +358,49 @@ class Graph {
            ((overlay_bits_[v >> 6] >> (v & 63)) & 1ull) != 0;
   }
 
-  internal_overlay::OverlayList OverlayOf(vertex_id v) const {
-    return internal_overlay::Find(*overlay_, v);
+  /// v's adjacency list as every accessor reads it.
+  struct Adjacency {
+    const vertex_id* neighbors;
+    const weight_t* weights;  // nullptr when the graph is unweighted
+    vertex_id degree;
+    bool overlaid;  // the list is the overlay's merged DRAM copy
+
+    weight_t weight(size_t i) const {
+      return weights == nullptr ? weight_t{1} : weights[i];
+    }
+  };
+
+  /// The one place that decides where v's list lives: the delta overlay's
+  /// merged list when v is touched, else v's slice of the base CSR.
+  Adjacency View(vertex_id v) const {
+    if (SAGE_UNLIKELY(Overlaid(v))) {
+      internal_overlay::OverlayList l = internal_overlay::Find(*overlay_, v);
+      return {l.neighbors, l.weights, l.degree, true};
+    }
+    const edge_offset lo = offsets_[v];
+    return {neighbors_.data() + lo,
+            weights_.empty() ? nullptr : weights_.data() + lo,
+            static_cast<vertex_id>(offsets_[v + 1] - lo), false};
   }
 
-  void ChargeNeighborhood(vertex_id v, edge_offset deg) const {
-    // Offset word + neighbor words (+ weight words when present).
-    uint64_t words = 1 + deg + (weights_.empty() ? 0 : deg);
-    nvram::Cost().ChargeGraphRead(words, offsets_[v]);
+  /// Charges `words` of v's list at hint offsets_[v] + begin. Base lists
+  /// are graph reads; overlaid lists live in DRAM while the base stays
+  /// NVRAM-resident, so they are DRAM work reads of the same words, which
+  /// keeps an overlay view's total PSAM reads bit-identical to the
+  /// compacted graph's.
+  void Charge(vertex_id v, bool overlaid, uint64_t words,
+              edge_offset begin = 0) const {
+    if (overlaid) {
+      nvram::Cost().ChargeWorkRead(words, offsets_[v] + begin);
+    } else {
+      nvram::Cost().ChargeGraphRead(words, offsets_[v] + begin);
+    }
   }
 
-  /// Same word count as ChargeNeighborhood, charged as a DRAM work read:
-  /// overlaid lists live in DRAM while the base stays NVRAM-resident, and
-  /// the identical word count keeps the overlay view's total PSAM reads
-  /// bit-identical to the compacted graph's.
-  void ChargeOverlayNeighborhood(vertex_id v, uint64_t deg) const {
-    uint64_t words = 1 + deg + (weights_.empty() ? 0 : deg);
-    nvram::Cost().ChargeWorkRead(words, offsets_[v]);
-  }
-
-  template <typename T, typename G, typename Op>
-  T reduce_uncharged(vertex_id v, edge_offset lo, edge_offset hi, const G& g,
-                     const Op& op, T id) const {
-    return reduce(
-        static_cast<size_t>(hi - lo),
-        [&](size_t i) {
-          edge_offset e = lo + i;
-          weight_t w = weights_.empty() ? 1 : weights_[e];
-          return g(v, neighbors_[e], w);
-        },
-        op, id);
+  /// Words of a slice of `edges` edges: the offset word, the neighbor
+  /// words, and the weight words when present.
+  uint64_t ListWords(uint64_t edges) const {
+    return 1 + edges + (weights_.empty() ? 0 : edges);
   }
 
   /// Keeps the spanned memory alive; shared across copies of the Graph.

@@ -94,15 +94,6 @@ class ExecutionContext {
 
   bool interruptible() const { return interruptible_; }
 
-  /// Returns true if the run's deadline has passed or its cancel token is
-  /// set. Cheap when not armed (one bool load).
-  bool InterruptRequested() const {
-    if (!interruptible_) return false;
-    if (cancel_ && cancel_->cancelled()) return true;
-    return deadline_ != std::chrono::steady_clock::time_point::max() &&
-           std::chrono::steady_clock::now() >= deadline_;
-  }
-
   /// Interrupt checkpoint: called at edgeMap round boundaries. Throws
   /// QueryInterrupt on the run's root thread when the deadline has passed
   /// or the cancel token is set; no-op elsewhere.

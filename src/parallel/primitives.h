@@ -42,6 +42,20 @@ inline size_t NumBlocks(size_t n, size_t block) {
   return (n + block - 1) / block;
 }
 
+/// Exclusive prefix sum of per-block partials under (op, id), in place, in
+/// one sequential pass; returns the total. Uncharged: the block count
+/// follows num_workers(), and the primitives' charges must not.
+template <typename T, typename Op>
+T ScanBlockPartials(std::vector<T>& partial, const Op& op, T id) {
+  T total = id;
+  for (T& p : partial) {
+    T next = op(total, p);
+    p = total;
+    total = next;
+  }
+  return total;
+}
+
 }  // namespace internal
 
 /// Builds a vector of length n with a[i] = f(i), in parallel.
@@ -123,12 +137,7 @@ T scan_inplace(std::vector<T>& a, const Op& op, T id) {
         partial[b] = acc;
       },
       1);
-  T total = id;
-  for (size_t b = 0; b < nb; ++b) {
-    T next = op(total, partial[b]);
-    partial[b] = total;
-    total = next;
-  }
+  T total = internal::ScanBlockPartials(partial, op, id);
   parallel_for(
       0, nb,
       [&](size_t b) {
@@ -169,7 +178,8 @@ std::vector<T> filter(const std::vector<T>& in, const Pred& pred) {
         counts[b] = c;
       },
       1);
-  size_t total = scan_add_inplace(counts);
+  size_t total = internal::ScanBlockPartials(
+      counts, [](size_t a, size_t b) { return a + b; }, size_t{0});
   std::vector<T> out(total);
   parallel_for(
       0, nb,
@@ -201,7 +211,8 @@ std::vector<IndexT> pack_index(size_t n, const Pred& pred) {
         counts[b] = c;
       },
       1);
-  size_t total = scan_add_inplace(counts);
+  size_t total = internal::ScanBlockPartials(
+      counts, [](size_t a, size_t b) { return a + b; }, size_t{0});
   std::vector<IndexT> out(total);
   parallel_for(
       0, nb,

@@ -101,17 +101,6 @@ TEST(CompressedGraph, ChargesFewerNvramWordsThanUncompressed) {
   EXPECT_LT(compressed_reads, uncompressed_reads);
 }
 
-TEST(CompressedGraph, ParallelMapMatchesSequential) {
-  Graph g = StarGraph(5000);  // one high-degree vertex
-  CompressedGraph cg = CompressedGraph::FromGraph(g, 32);
-  std::vector<std::atomic<int>> hits(5000);
-  for (auto& h : hits) h.store(0);
-  cg.MapNeighborsParallel(0, [&](vertex_id, vertex_id u, weight_t) {
-    hits[u].fetch_add(1);
-  });
-  for (vertex_id v = 1; v < 5000; ++v) ASSERT_EQ(hits[v].load(), 1);
-}
-
 TEST(CompressedGraph, ReduceNeighborsSums) {
   Graph g = StarGraph(100);
   CompressedGraph cg = CompressedGraph::FromGraph(g, 8);

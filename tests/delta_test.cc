@@ -679,8 +679,9 @@ TEST(UpdateParity, CompactedGraphMatchesOverlayViewBitForBit) {
 
   // The relaxation kernels run on one worker: their rounds race on
   // writeMin, and which racer wins steers the next frontier.
-  const std::vector<std::string> algos = {"bfs", "connectivity", "pagerank",
-                                          "bellman-ford", "wbfs"};
+  const std::vector<std::string> algos = {"bfs",          "connectivity",
+                                          "pagerank",     "bellman-ford",
+                                          "wbfs",         "triangle-count"};
   const int host_width = num_workers();
   auto pin_width = [&](const std::string& algo) {
     const bool relax = algo == "bellman-ford" || algo == "wbfs";

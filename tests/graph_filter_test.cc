@@ -9,6 +9,7 @@
 
 #include "core/graph_filter.h"
 #include "graph/compressed_graph.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 
 namespace sage {
@@ -128,6 +129,29 @@ TEST(GraphFilter, NeverWritesNvram) {
   auto t = cm.Totals();
   EXPECT_EQ(t.nvram_writes, 0u);
   EXPECT_GT(t.dram_writes, 0u);  // the filter itself lives in DRAM
+}
+
+TEST(GraphFilter, OverlaidListsChargeDramReads) {
+  // Vertex 0's list lives in the delta overlay (DRAM); vertex 3's is base
+  // CSR. Reading either through the filter charges the same words, but
+  // only the base list is a graph (NVRAM) read.
+  auto& cm = nvram::Cost();
+  cm.SetAllocPolicy(nvram::AllocPolicy::kGraphNvram);
+  Graph base = CompleteGraph(8);
+  std::vector<EdgeUpdate> updates = {EdgeUpdate::Remove(0, 1)};
+  auto overlay = ApplyUpdateBatch(base, nullptr, updates);
+  ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+  Graph g = MakeOverlayGraph(base, overlay.ValueOrDie());
+  GraphFilter<Graph> gf(g);
+  auto read = [&](vertex_id v) {
+    nvram::CostScope scope;
+    EXPECT_EQ(Active(gf, v).size(), g.degree_uncharged(v));
+    return scope.Delta();
+  };
+  nvram::CostTotals overlaid = read(0), plain = read(3);
+  EXPECT_EQ(overlaid.nvram_reads, 0u);
+  EXPECT_EQ(plain.nvram_reads, g.degree_uncharged(3));
+  EXPECT_EQ(overlaid.dram_reads, plain.dram_reads + g.degree_uncharged(0));
 }
 
 TEST(GraphFilter, MemoryIsFractionOfGraph) {

@@ -6,6 +6,7 @@
 
 #include "common/random.h"
 #include "parallel/primitives.h"
+#include "parallel/scheduler.h"
 
 namespace sage {
 namespace {
@@ -104,6 +105,32 @@ TEST(PackIndex, ReturnsMatchingIndices) {
   auto idx = pack_index<uint32_t>(n, [](size_t i) { return i % 3 == 0; });
   ASSERT_EQ(idx.size(), (n + 2) / 3);
   for (size_t i = 0; i < idx.size(); ++i) ASSERT_EQ(idx[i], 3 * i);
+}
+
+TEST(FilterAndPackIndex, ChargesDoNotDependOnWidth) {
+  // The block count follows the width; the charges must not. 50,000 keys
+  // span several blocks at every width.
+  const size_t n = 50000;
+  auto keys = tabulate<uint32_t>(
+      n, [](size_t i) { return static_cast<uint32_t>(i * 2654435761u); });
+  std::vector<nvram::CostTotals> totals;
+  for (int width : {1, 2, 4}) {
+    Scheduler::Reset(width);
+    nvram::CostScope scope;
+    auto kept = filter(keys, [](uint32_t k) { return k % 3 == 0; });
+    auto idx = pack_index<uint32_t>(n, [&](size_t i) { return keys[i] & 1; });
+    totals.push_back(scope.Delta());
+    EXPECT_FALSE(kept.empty());
+    EXPECT_FALSE(idx.empty());
+  }
+  Scheduler::Reset(0);
+  for (const auto& t : totals) {
+    EXPECT_EQ(t.dram_reads, totals[0].dram_reads);
+    EXPECT_EQ(t.dram_writes, totals[0].dram_writes);
+    EXPECT_EQ(t.nvram_reads, totals[0].nvram_reads);
+    EXPECT_EQ(t.nvram_writes, totals[0].nvram_writes);
+  }
+  EXPECT_EQ(totals[0].dram_reads, 4 * n);  // 2n words each
 }
 
 TEST(Flatten, ConcatenatesInOrder) {
