@@ -61,8 +61,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .table1_row = "BFS",
        .needs_source = true,
        .description = "breadth-first search tree from a source"},
-      [](const Graph& g, const Graph&, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
         return Bfs(g, p.source, ctx.edge_map);
       },
       CountReachedParents));
@@ -73,9 +73,9 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .needs_weights = true,
        .needs_source = true,
        .description = "weighted BFS (bucketed SSSP for small weights)"},
-      [](const Graph&, const Graph& gw, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
-        return WeightedBfs(gw, p.source, ctx.edge_map);
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
+        return WeightedBfs(g, p.source, ctx.edge_map);
       },
       CountReachedDistances));
 
@@ -85,9 +85,9 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .needs_weights = true,
        .needs_source = true,
        .description = "single-source shortest paths"},
-      [](const Graph&, const Graph& gw, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
-        return BellmanFord(gw, p.source, ctx.edge_map);
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
+        return BellmanFord(g, p.source, ctx.edge_map);
       },
       CountReachedDistances));
 
@@ -97,9 +97,9 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .needs_weights = true,
        .needs_source = true,
        .description = "single-source widest (bottleneck) paths"},
-      [](const Graph&, const Graph& gw, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
-        return WidestPathBucketed(gw, p.source, ctx.edge_map);
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
+        return WidestPathBucketed(g, p.source, ctx.edge_map);
       },
       [](const AlgoOutput& out) {
         const auto& cap = std::get<std::vector<uint64_t>>(out);
@@ -112,8 +112,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .table1_row = "Betweenness",
        .needs_source = true,
        .description = "single-source betweenness dependency scores"},
-      [](const Graph& g, const Graph&, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
         return Betweenness(g, p.source, ctx.edge_map);
       },
       [](const AlgoOutput& out) {
@@ -129,8 +129,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed | kParamSpannerK,
        .description = "O(k)-stretch graph spanner"},
-      [](const Graph& g, const Graph&, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
         SpannerOptions opts;
         opts.k = p.spanner_k;
         opts.seed = p.seed;
@@ -145,8 +145,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed | kParamLddBeta,
        .description = "low-diameter decomposition"},
-      [](const Graph& g, const Graph&, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
         return LowDiameterDecomposition(g, p.ldd_beta, p.seed, ctx.edge_map);
       },
       [](const AlgoOutput& out) {
@@ -160,8 +160,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed | kParamLddBeta,
        .description = "connected-component labels"},
-      [](const Graph& g, const Graph&, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
         return Connectivity(g, MakeConnectivityOptions(ctx, p));
       },
       [](const AlgoOutput& out) {
@@ -176,8 +176,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed | kParamLddBeta,
        .description = "spanning forest edge set"},
-      [](const Graph& g, const Graph&, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
         return SpanningForest(g, MakeConnectivityOptions(ctx, p));
       },
       [](const AlgoOutput& out) { return CountEdges("forest_edges", out); }));
@@ -188,8 +188,8 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed | kParamLddBeta,
        .description = "biconnected-component labels"},
-      [](const Graph& g, const Graph&, const RunContext& ctx,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext& ctx, const RunParams& p)
+          -> AlgoOutput {
         return Biconnectivity(g, MakeConnectivityOptions(ctx, p));
       },
       [](const AlgoOutput& out) {
@@ -209,8 +209,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed,
        .description = "maximal independent set"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext&, const RunParams& p) -> AlgoOutput {
         return MaximalIndependentSet(g, p.seed);
       },
       [](const AlgoOutput& out) {
@@ -225,8 +224,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed | kParamFilterBlock,
        .description = "maximal matching edge set"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext&, const RunParams& p) -> AlgoOutput {
         return MaximalMatching(g, p.seed, p.filter_block_size);
       },
       [](const AlgoOutput& out) { return CountEdges("matched_pairs", out); }));
@@ -237,8 +235,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamSeed,
        .description = "greedy LLF graph coloring"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext&, const RunParams& p) -> AlgoOutput {
         return GraphColoring(g, p.seed);
       },
       [](const AlgoOutput& out) {
@@ -254,8 +251,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .table1_row = "Apx-Set-Cover",
        .params_used = kParamSeed | kParamSetCoverEps | kParamFilterBlock,
        .description = "bucketed approximate set cover"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext&, const RunParams& p) -> AlgoOutput {
         SetCoverOptions opts;
         opts.eps = p.set_cover_eps;
         opts.seed = p.seed;
@@ -272,8 +268,9 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .table1_row = "k-Core",
        .requires_symmetric = true,
        .description = "coreness of every vertex (peeling)"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams&) -> AlgoOutput { return KCore(g); },
+      [](const Graph& g, const RunContext&, const RunParams&) -> AlgoOutput {
+        return KCore(g);
+      },
       [](const AlgoOutput& out) {
         const auto& result = std::get<KCoreResult>(out);
         return "k_max=" + std::to_string(result.max_core) +
@@ -285,8 +282,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .table1_row = "Apx-Dens-Subgraph",
        .requires_symmetric = true,
        .description = "2(1+eps)-approximate densest subgraph"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams&) -> AlgoOutput {
+      [](const Graph& g, const RunContext&, const RunParams&) -> AlgoOutput {
         return ApproxDensestSubgraph(g);
       },
       [](const AlgoOutput& out) {
@@ -301,8 +297,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .requires_symmetric = true,
        .params_used = kParamFilterBlock,
        .description = "triangle count via filtered intersection"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext&, const RunParams& p) -> AlgoOutput {
         return TriangleCount(g, p.filter_block_size);
       },
       [](const AlgoOutput& out) {
@@ -315,8 +310,7 @@ void RegisterBuiltinAlgorithms(AlgorithmRegistry& r) {
        .table1_row = "PageRank",
        .params_used = kParamPagerank,
        .description = "PageRank to convergence"},
-      [](const Graph& g, const Graph&, const RunContext&,
-         const RunParams& p) -> AlgoOutput {
+      [](const Graph& g, const RunContext&, const RunParams& p) -> AlgoOutput {
         return PageRank(g, p.pagerank_epsilon, p.pagerank_max_iters);
       },
       [](const AlgoOutput& out) {

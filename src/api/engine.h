@@ -42,12 +42,8 @@
 // and address-stable) but must not race in-flight queries.
 //
 // Run() is a thin synchronous wrapper over Submit(): same queue, same
-// session pool, block on the future. The engine lazily synthesizes and
-// caches the weighted twins used by the weighted algorithms when the input
-// graph carries no weights - one twin per weight seed, race-free under
-// concurrent Submit, each paying its synthesis cost once. The cache serves
-// epoch-0 queries; queries on updated epochs synthesize per-run from their
-// own snapshot.
+// session pool, block on the future. A weighted algorithm on an unweighted
+// graph reads its snapshot's weighted view (GraphSnapshot::WeightedView).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +54,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -196,25 +191,16 @@ class Engine {
     }
     const uint64_t seq = s.delta_log.Append(updates);
     MutexLock lock(s.update_mu);
-    if (s.applied_seq >= seq) {
-      // A concurrent writer's group commit drained this batch already; the
-      // current epoch serves it.
-      return UpdateStats{s.epochs->current_epoch(), 0, CurrentDeltaLocked(s)};
+    uint64_t applied = 0;
+    if (s.applied_seq < seq) {
+      // Otherwise a concurrent writer's group commit drained this batch
+      // already, and the current epoch serves it.
+      auto published = PublishPendingLocked(s);
+      if (!published.ok()) return published.status();
+      applied = published.ValueOrDie();
     }
-    uint64_t last = s.applied_seq;
-    std::vector<EdgeUpdate> batch = s.delta_log.Drain(&last);
-    {
-      // The parallel merge must not race a width-changing run's pool
-      // rebuild (same discipline as the weighted-twin synthesis).
-      internal::SchedulerWidthGuard width_guard;
-      auto next = ApplyUpdateBatch(s.base, s.overlay, batch);
-      if (!next.ok()) return next.status();  // unreachable: validated above
-      s.overlay = next.TakeValue();
-    }
-    s.applied_seq = last;
-    uint64_t epoch = s.epochs->Advance(MakeOverlayGraph(s.base, s.overlay),
-                                       s.overlay->delta_edges());
-    return UpdateStats{epoch, batch.size(), s.overlay->delta_edges()};
+    return UpdateStats{s.epochs->current_epoch(), applied,
+                       CurrentDeltaLocked(s)};
   }
 
   /// Convenience overload for brace-initialized batches.
@@ -223,15 +209,17 @@ class Engine {
         std::span<const EdgeUpdate>(updates.begin(), updates.size()));
   }
 
-  /// Merges the delta overlay (plus any not-yet-committed log entries)
-  /// into a fresh base and publishes it as a new epoch with delta 0. When
-  /// the engine was opened from a mapped .bsadj image, the merged graph is
-  /// written beside the image and atomically renamed over it, then mapped
-  /// as the new NVRAM-resident base - readers pinned to older epochs keep
-  /// the superseded mapping alive until they retire, at which point it is
-  /// unmapped (the hot-swap under live traffic). In-memory engines just
-  /// swap in the merged arrays. A no-op (current epoch, no bump) when
-  /// there is nothing to merge. Safe from any thread.
+  /// Merges the delta overlay into a fresh base and publishes it as a new
+  /// epoch with delta 0. Not-yet-committed log entries are first published
+  /// as an overlay epoch of their own, so a failed rewrite never loses an
+  /// acknowledged update. When the engine was opened from a mapped .bsadj
+  /// image, the merged graph is written beside the image and atomically
+  /// renamed over it, then mapped as the new NVRAM-resident base - readers
+  /// pinned to older epochs keep the superseded mapping alive until they
+  /// retire, at which point it is unmapped (the hot-swap under live
+  /// traffic). In-memory engines just swap in the merged arrays. A no-op
+  /// (current epoch, no bump) when there is nothing to merge. Safe from any
+  /// thread.
   Result<CompactionStats> Compact() {
     State& s = *state_;
     if (auto storage = s.graph.storage();
@@ -243,24 +231,17 @@ class Engine {
           " shards); open the monolithic .bsadj image instead");
     }
     MutexLock lock(s.update_mu);
-    uint64_t last = s.applied_seq;
-    std::vector<EdgeUpdate> pending = s.delta_log.Drain(&last);
-    std::shared_ptr<const DeltaOverlay> overlay = s.overlay;
+    auto published = PublishPendingLocked(s);
+    if (!published.ok()) return published.status();
+    if (s.overlay == nullptr) {
+      // Nothing to merge: keep the current epoch.
+      return CompactionStats{s.epochs->current_epoch(), s.base.num_edges(),
+                             false};
+    }
     Graph merged;
     {
       internal::SchedulerWidthGuard width_guard;
-      if (!pending.empty()) {
-        auto next = ApplyUpdateBatch(s.base, overlay, pending);
-        if (!next.ok()) return next.status();
-        overlay = next.TakeValue();
-      }
-      s.applied_seq = last;
-      if (overlay == nullptr) {
-        // Nothing to merge: keep the current epoch.
-        return CompactionStats{s.epochs->current_epoch(), s.base.num_edges(),
-                               false};
-      }
-      merged = FlattenOverlay(MakeOverlayGraph(s.base, overlay));
+      merged = FlattenOverlay(MakeOverlayGraph(s.base, s.overlay));
     }
     CompactionStats stats;
     if (!s.image_path.empty()) {
@@ -311,13 +292,7 @@ class Engine {
   QueryService& service(QueryService::Options options = QueryService::Options{}) {
     State& s = *state_;
     std::call_once(s.service_once, [&] {
-      // The provider captures the heap-held state, not `this`, so a moved
-      // engine keeps a valid service.
-      State* state = &s;
-      s.service = std::make_unique<QueryService>(
-          s.graph, options, [state](uint64_t seed) -> const Graph* {
-            return WeightedTwinFor(*state, seed);
-          });
+      s.service = std::make_unique<QueryService>(s.graph, options);
       if (const std::shared_ptr<ResultCache>& cache = s.service->cache()) {
         // Epoch-keyed invalidation: a retired epoch can never be pinned
         // again, so its entries can never hit - drop them eagerly. The
@@ -330,11 +305,6 @@ class Engine {
     return *s.service;
   }
 
-  /// Distinct weight seeds whose twins the engine keeps resident. Each
-  /// twin is a full O(n + m) copy, so the cache is capped; seed sweeps
-  /// beyond the cap pay per-run synthesis instead of DRAM.
-  static constexpr size_t kMaxCachedTwins = 4;
-
   /// The graph the next query would run on: the current epoch's view
   /// (base + any overlay). Returned by value - Graph copies share their
   /// storage - so the caller's view stays valid and consistent across
@@ -345,20 +315,13 @@ class Engine {
   const RunContext& context() const { return state_->ctx; }
 
  private:
-  /// Heap-held so the engine stays cheaply movable while the graph, twin
-  /// cache, and service keep stable addresses for in-flight queries.
+  /// Heap-held so the engine stays cheaply movable while the graph and
+  /// service keep stable addresses for in-flight queries.
   struct State {
-    /// The epoch-0 construction graph: the query service's default view
-    /// and the twin cache's source. Never reassigned (pinned snapshots
-    /// and the service reference it for the engine's lifetime).
+    /// The epoch-0 construction graph (the query service's own snapshot).
+    /// Never reassigned.
     Graph graph;
     RunContext ctx;
-    /// Cached weighted twins for weighted algorithms on unweighted inputs,
-    /// one per weight seed. Twins are pointer-stable: a run may hold a
-    /// reference while another seed synthesizes.
-    Mutex twins_mu;
-    std::unordered_map<uint64_t, std::unique_ptr<Graph>> twins
-        SAGE_GUARDED_BY(twins_mu);
     std::once_flag service_once;
     std::unique_ptr<QueryService> service;
 
@@ -385,28 +348,27 @@ class Engine {
     return s.overlay == nullptr ? 0 : s.overlay->delta_edges();
   }
 
-  static const Graph* WeightedTwinFor(State& s, uint64_t seed) {
-    if (s.graph.weighted()) return &s.graph;
+  /// The drain-apply-publish step ApplyUpdates and Compact share: drains
+  /// every pending log entry into the overlay and publishes the merged
+  /// view as the next epoch. Returns the number of updates applied (0,
+  /// with no new epoch, when the log was empty).
+  static Result<uint64_t> PublishPendingLocked(State& s)
+      SAGE_REQUIRES(s.update_mu) {
+    uint64_t last = s.applied_seq;
+    std::vector<EdgeUpdate> batch = s.delta_log.Drain(&last);
+    if (batch.empty()) return uint64_t{0};
     {
-      MutexLock lock(s.twins_mu);
-      auto it = s.twins.find(seed);
-      if (it != s.twins.end()) return it->second.get();
-      // Never evict: in-flight runs may hold references to cached twins,
-      // so the cap bounds residency by refusing new entries instead.
-      if (s.twins.size() >= kMaxCachedTwins) return nullptr;
-    }
-    // Synthesize outside the cache lock (hits on other seeds never wait
-    // behind an O(n + m) synthesis) and under the scheduler-width lock
-    // (the parallel synthesis must not race a width-changing run's pool
-    // rebuild). Two first-time callers of one seed may both synthesize;
-    // the loser's copy is discarded below.
-    std::unique_ptr<Graph> twin;
-    {
+      // The parallel merge must not race a width-changing run's pool
+      // rebuild.
       internal::SchedulerWidthGuard width_guard;
-      twin = std::make_unique<Graph>(AddRandomWeights(s.graph, seed));
+      auto next = ApplyUpdateBatch(s.base, s.overlay, batch);
+      if (!next.ok()) return next.status();  // unreachable: ids validated
+      s.overlay = next.TakeValue();
     }
-    MutexLock lock(s.twins_mu);
-    return s.twins.emplace(seed, std::move(twin)).first->second.get();
+    s.applied_seq = last;
+    s.epochs->Advance(MakeOverlayGraph(s.base, s.overlay),
+                      s.overlay->delta_edges());
+    return uint64_t{batch.size()};
   }
 
   std::unique_ptr<State> state_;

@@ -31,16 +31,14 @@ std::string ServingCounters::ToJson() const {
          ", \"cancelled\": " + U64(cancelled) + "}";
 }
 
-QueryService::QueryService(const Graph& graph, Options options,
-                           WeightedTwinProvider twin_provider)
-    : graph_(graph),
+QueryService::QueryService(const Graph& graph, Options options)
+    : snapshot_(std::make_shared<const GraphSnapshot>(0, graph, 0)),
       options_([&] {
         Options o = options;
         o.sessions = std::max(1, o.sessions);
         o.queue_capacity = std::max<size_t>(1, o.queue_capacity);
         return o;
       }()),
-      twin_provider_(std::move(twin_provider)),
       cache_(options_.cache_bytes > 0
                  ? std::make_shared<ResultCache>(options_.cache_bytes)
                  : nullptr) {
@@ -66,7 +64,7 @@ QueryService::~QueryService() { Shutdown(); }
 std::future<Result<RunReport>> QueryService::Submit(std::string algorithm,
                                                     RunContext ctx,
                                                     RunParams params) {
-  return Submit(std::move(algorithm), ctx, params, nullptr, kDefaultTenant);
+  return Submit(std::move(algorithm), ctx, params, snapshot_, kDefaultTenant);
 }
 
 std::future<Result<RunReport>> QueryService::Submit(
@@ -84,7 +82,7 @@ std::future<Result<RunReport>> QueryService::Submit(
   request.algorithm = std::move(algorithm);
   request.ctx = ctx;
   request.params = params;
-  request.snapshot = std::move(snapshot);
+  request.snapshot = snapshot != nullptr ? std::move(snapshot) : snapshot_;
   request.submit_time = std::chrono::steady_clock::now();
   std::future<Result<RunReport>> future = request.promise.get_future();
 
@@ -102,14 +100,12 @@ std::future<Result<RunReport>> QueryService::Submit(
   // Cache front: a hit completes the future right here - no admission, no
   // queue slot, no session. The key pins the snapshot epoch, so a query
   // pinned to epoch N can only ever see epoch-N results.
-  const uint64_t epoch =
-      request.snapshot != nullptr ? request.snapshot->epoch : 0;
   if (cache_ != nullptr) {
     const AlgorithmInfo* info =
         AlgorithmRegistry::Get().Find(request.algorithm);
     if (info != nullptr) {
-      request.cache_key =
-          ResultCache::CanonicalKey(epoch, *info, request.ctx, request.params);
+      request.cache_key = ResultCache::CanonicalKey(
+          request.snapshot->epoch, *info, request.ctx, request.params);
       RunReport cached;
       if (cache_->Lookup(request.cache_key, &cached)) {
         cached.cache_hit = true;
@@ -372,9 +368,8 @@ void QueryService::FinishRequest(Request& request, Result<RunReport> result) {
   // inserted copy is exactly what the caller receives (epoch stamped,
   // cache_hit false), so hits replay it bit-identically.
   if (result.ok() && cache_ != nullptr && !request.cache_key.empty()) {
-    const uint64_t epoch =
-        request.snapshot != nullptr ? request.snapshot->epoch : 0;
-    cache_->Insert(request.cache_key, epoch, result.ValueOrDie());
+    cache_->Insert(request.cache_key, request.snapshot->epoch,
+                   result.ValueOrDie());
   }
   const StatusCode code =
       result.ok() ? StatusCode::kOk : result.status().code();
@@ -413,34 +408,24 @@ void QueryService::FinishRequest(Request& request, Result<RunReport> result) {
 }
 
 Result<RunReport> QueryService::Execute(Request& request) {
-  const Graph& g =
-      request.snapshot != nullptr ? request.snapshot->graph : graph_;
+  const GraphSnapshot& snapshot = *request.snapshot;
   const AlgorithmInfo* info = AlgorithmRegistry::Get().Find(request.algorithm);
-  // The cached twin provider synthesizes from the service's epoch-0 graph,
-  // so it only serves queries still pinned to epoch 0; later epochs
-  // synthesize a per-run twin from their own snapshot (AddRandomWeights
-  // flattens the overlay, and its pairwise weight hash makes the overlay
-  // and compacted twins identical).
-  const bool epoch0 =
-      request.snapshot == nullptr || request.snapshot->epoch == 0;
-  Result<RunReport> run = [&]() -> Result<RunReport> {
-    if (info != nullptr && info->needs_weights && !g.weighted() && epoch0 &&
-        twin_provider_ != nullptr) {
-      // The provider owns its thread-safety, including holding the
-      // scheduler-width lock around any parallel synthesis (Engine's
-      // provider does, via internal::SchedulerWidthGuard).
-      const Graph* weighted = twin_provider_(request.params.weight_seed);
-      if (weighted != nullptr) {
-        return AlgorithmRegistry::Run(request.algorithm, g, *weighted,
-                                      request.ctx, request.params);
-      }
-    }
-    return AlgorithmRegistry::Run(request.algorithm, g, request.ctx,
-                                  request.params);
-  }();
-  if (run.ok() && request.snapshot != nullptr) {
-    run.ValueOrDie().graph_epoch = request.snapshot->epoch;
-    run.ValueOrDie().delta_edges = request.snapshot->delta_edges;
+  std::shared_ptr<const Graph> weighted;
+  if (info != nullptr && info->needs_weights && !snapshot.graph.weighted()) {
+    // The view's first build runs parallel work on the shared pool; the
+    // guard is released before Run takes the width lock itself.
+    internal::SchedulerWidthGuard width_guard;
+    weighted = snapshot.WeightedView(request.params.weight_seed);
+  }
+  Result<RunReport> run =
+      weighted != nullptr
+          ? AlgorithmRegistry::Run(request.algorithm, snapshot.graph,
+                                   *weighted, request.ctx, request.params)
+          : AlgorithmRegistry::Run(request.algorithm, snapshot.graph,
+                                   request.ctx, request.params);
+  if (run.ok()) {
+    run.ValueOrDie().graph_epoch = snapshot.epoch;
+    run.ValueOrDie().delta_edges = snapshot.delta_edges;
   }
   return run;
 }

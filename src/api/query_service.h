@@ -5,8 +5,9 @@
 // ExecutionContexts (nvram/execution_context.h) make their PSAM accounting
 // exact. QueryService is the front door for that mode: a fixed pool of
 // session threads drains a bounded queue of submitted queries, each
-// executed through AlgorithmRegistry::Run under its own context, and
-// fulfills a std::future per query.
+// executed through AlgorithmRegistry::Run under its own context on a
+// pinned GraphSnapshot (and its GraphSnapshot::WeightedView for weighted
+// algorithms on unweighted graphs), and fulfills a std::future per query.
 //
 //   QueryService service(graph, {.sessions = 4});
 //   auto bfs = service.Submit("bfs", ctx, {.source = 0});
@@ -44,8 +45,9 @@
 //   - Submit() may be called from any number of threads. Default-config
 //     tenants block while the queue is full (backpressure, never unbounded
 //     growth); quota tenants are rejected instead.
-//   - The graph must outlive the service and stay immutable while it runs
-//     (Sage graphs are).
+//   - The service pins its own epoch-0 snapshot of the graph it is built
+//     over (Graph copies share their storage), so the caller's Graph
+//     object need not outlive it.
 //   - Submitted RunContexts should leave num_threads at 0: resizing the
 //     shared scheduler serializes against every in-flight run.
 //   - Shutdown() (and the destructor) stops accepting work, drains queued
@@ -60,7 +62,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -122,38 +123,28 @@ class QueryService {
     uint64_t cache_bytes = 0;
   };
 
-  /// Resolves the weighted twin to run a needs_weights algorithm on when
-  /// the service's graph is unweighted. Must be thread-safe, and must hold
-  /// the scheduler-width lock (AlgorithmRegistry's
-  /// internal::SchedulerWidthGuard) around any parallel synthesis it
-  /// performs - Engine's provider does. A returned graph must stay alive
-  /// for the service's lifetime (Engine's cache is). Returning nullptr -
-  /// or passing no provider - makes the registry synthesize a per-run
-  /// twin instead (correct, just uncached).
-  using WeightedTwinProvider = std::function<const Graph*(uint64_t seed)>;
-
   explicit QueryService(const Graph& graph) : QueryService(graph, Options()) {}
-  QueryService(const Graph& graph, Options options,
-               WeightedTwinProvider twin_provider = nullptr);
+  QueryService(const Graph& graph, Options options);
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues one query under the default tenant; returns a future that
-  /// completes when a session has executed it (or immediately, on a cache
-  /// hit). Blocks while the queue is at capacity. After Shutdown() the
-  /// future completes immediately with an Internal error.
+  /// Enqueues one query on the service's own epoch-0 snapshot under the
+  /// default tenant; returns a future that completes when a session has
+  /// executed it (or immediately, on a cache hit). Blocks while the queue
+  /// is at capacity. After Shutdown() the future completes immediately
+  /// with an Internal error.
   std::future<Result<RunReport>> Submit(std::string algorithm, RunContext ctx,
                                         RunParams params = RunParams{})
       SAGE_EXCLUDES(mu_);
 
-  /// As above, but the query executes on `snapshot`'s graph instead of the
-  /// service's default graph, and its report is stamped with the snapshot's
-  /// epoch and delta count. The snapshot stays pinned (its epoch cannot
-  /// retire) until the query completes - Engine::Submit routes every query
-  /// through here so in-flight runs keep a consistent view across
-  /// concurrent ApplyUpdates / Compact calls.
+  /// As above, but the query executes on `snapshot` (nullptr = the
+  /// service's own), and its report is stamped with the snapshot's epoch
+  /// and delta count. The snapshot stays pinned (its epoch cannot retire)
+  /// until the query completes - Engine::Submit routes every query through
+  /// here so in-flight runs keep a consistent view across concurrent
+  /// ApplyUpdates / Compact calls.
   std::future<Result<RunReport>> Submit(
       std::string algorithm, RunContext ctx, RunParams params,
       std::shared_ptr<const GraphSnapshot> snapshot) SAGE_EXCLUDES(mu_);
@@ -175,7 +166,7 @@ class QueryService {
   /// Idempotent.
   void Shutdown() SAGE_EXCLUDES(shutdown_mu_, mu_);
 
-  const Graph& graph() const { return graph_; }
+  const Graph& graph() const { return snapshot_->graph; }
   int sessions() const { return static_cast<int>(sessions_.size()); }
   size_t queue_capacity() const { return options_.queue_capacity; }
 
@@ -220,9 +211,9 @@ class QueryService {
     std::string algorithm;
     RunContext ctx;
     RunParams params;
-    /// Pinned epoch snapshot to execute on; nullptr = the service's
-    /// default graph. Released (allowing the epoch to retire) when the
-    /// request is destroyed after execution.
+    /// Pinned epoch snapshot to execute on; never null. Released
+    /// (allowing the epoch to retire) when the request is destroyed after
+    /// execution.
     std::shared_ptr<const GraphSnapshot> snapshot;
     std::promise<Result<RunReport>> promise;
     /// Admitting tenant (stable pointer; entries are never erased).
@@ -250,9 +241,10 @@ class QueryService {
   /// under its in-flight cap, FIFO within a priority - or queue_.size().
   size_t FindRunnableLocked() const SAGE_REQUIRES(mu_);
 
-  const Graph& graph_;
+  /// Epoch-0 snapshot of the construction graph: what submissions without
+  /// a snapshot run on.
+  const std::shared_ptr<const GraphSnapshot> snapshot_;
   const Options options_;
-  const WeightedTwinProvider twin_provider_;
   /// Created once in the constructor when cache_bytes > 0; the pointer is
   /// immutable afterwards (safe to read unlocked).
   const std::shared_ptr<ResultCache> cache_;

@@ -110,7 +110,7 @@ Result<RunReport> AlgorithmRegistry::Run(const std::string& name,
                                          const Graph& g,
                                          const RunContext& ctx,
                                          const RunParams& params) {
-  return RunImpl(name, g, /*weighted_twin=*/nullptr, ctx, params);
+  return RunImpl(name, g, /*weighted=*/nullptr, ctx, params);
 }
 
 Result<RunReport> AlgorithmRegistry::Run(const std::string& name,
@@ -122,7 +122,7 @@ Result<RunReport> AlgorithmRegistry::Run(const std::string& name,
 
 Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
                                              const Graph& g,
-                                             const Graph* weighted_twin,
+                                             const Graph* weighted,
                                              const RunContext& ctx,
                                              const RunParams& params) {
   AlgorithmRegistry& reg = Get();
@@ -149,8 +149,8 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
 
   // Thread-width discipline: width-changing runs are exclusive (the pool
   // rebuild must not race in-flight parallel work); everything else runs
-  // concurrently under a shared lock. Taken before weight synthesis, which
-  // itself runs parallel work on the shared pool.
+  // concurrently under a shared lock. Taken before the weighted view is
+  // built, which itself runs parallel work on the shared pool.
   std::shared_lock<SharedMutex> shared_width;
   std::unique_lock<SharedMutex> exclusive_width;
   if (ctx.num_threads > 0) {
@@ -160,17 +160,16 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
     shared_width = std::shared_lock<SharedMutex>(SchedulerWidthLock());
   }
 
-  // Weight synthesis happens before the counter frame: preparing the input
-  // is not part of the algorithm's PSAM cost (the pre-registry drivers
-  // likewise built the weighted twin before resetting the counters).
+  // The weighted view is built before the counter frame: preparing the
+  // input is not part of the algorithm's PSAM cost.
   Graph synthesized;
-  const Graph* gw = &g;
+  const Graph* run_graph = &g;
   if (info.needs_weights && !g.weighted()) {
-    if (weighted_twin != nullptr && weighted_twin->weighted()) {
-      gw = weighted_twin;
+    if (weighted != nullptr && weighted->weighted()) {
+      run_graph = weighted;
     } else {
       synthesized = AddRandomWeights(g, params.weight_seed);
-      gw = &synthesized;
+      run_graph = &synthesized;
     }
   }
 
@@ -188,8 +187,8 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
   cm.SetGraphLayout(ctx.graph_layout);
   // The input graph, not the context, knows where it physically lives: an
   // mmap-ed .bsadj image is NVRAM-resident under every policy. (A weighted
-  // twin synthesized for the run is in-memory, but the graph region charge
-  // follows the input it mirrors.)
+  // view's weights live in DRAM, but the graph region charge follows the
+  // input they extend.)
   cm.SetGraphResidence(g.nvram_resident()
                            ? nvram::GraphResidence::kMappedNvram
                            : nvram::GraphResidence::kPolicy);
@@ -247,7 +246,7 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
     Timer timer;
     if (interruptible) {
       try {
-        report.output = entry->runner(g, *gw, run_ctx, params);
+        report.output = entry->runner(*run_graph, run_ctx, params);
       } catch (const QueryInterrupt& interrupt) {
         // Thrown from an edgeMap checkpoint on this (root) thread; the
         // prefetcher and scoped bindings unwind normally. Partial output is
@@ -260,7 +259,7 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
             std::to_string(timer.Seconds()) + "s");
       }
     } else {
-      report.output = entry->runner(g, *gw, run_ctx, params);
+      report.output = entry->runner(*run_graph, run_ctx, params);
     }
     report.wall_seconds = timer.Seconds();
   }

@@ -10,8 +10,8 @@
 //   if (run.ok()) std::puts(run.ValueOrDie().ToJson().c_str());
 //
 // Run() validates the request against the declared requirements
-// (synthesizing random weights when a weighted algorithm is handed an
-// unweighted graph), materializes the RunContext into a private
+// (weighting an unweighted input with AddRandomWeights' shared view when
+// the algorithm needs weights), materializes the RunContext into a private
 // nvram::ExecutionContext (counters + device state owned by that run),
 // executes the runner with the context bound to the run's workers, and
 // returns a RunReport carrying the output plus the run's exact counters
@@ -57,7 +57,8 @@ struct AlgorithmInfo {
   std::string name;
   /// The paper's Table 1 / Figure 1 row label (e.g. "Bellman-Ford").
   std::string table1_row;
-  /// Consumes edge weights (runs on the weighted twin of the input).
+  /// Consumes edge weights (runs on a weighted view of an unweighted
+  /// input).
   bool needs_weights = false;
   /// Consumes RunParams::source.
   bool needs_source = false;
@@ -72,13 +73,12 @@ struct AlgorithmInfo {
 
 class AlgorithmRegistry {
  public:
-  /// Runner closure: `g` is the input graph; `gw` is the weighted graph to
-  /// use when needs_weights (identical to `g` otherwise). Runs inside the
-  /// PSAM counter frame and timer, so the report measures exactly the
-  /// kernel — nothing else.
+  /// Runner closure: `g` is the graph to run on — the input, or its
+  /// weighted view when needs_weights and the input is unweighted. Runs
+  /// inside the PSAM counter frame and timer, so the report measures
+  /// exactly the kernel — nothing else.
   using Runner = std::function<AlgoOutput(
-      const Graph& g, const Graph& gw, const RunContext& ctx,
-      const RunParams& params)>;
+      const Graph& g, const RunContext& ctx, const RunParams& params)>;
 
   /// Digests the runner's output into the report's one-line summary. Runs
   /// after the counter frame closes: presentation cost is never charged to
@@ -108,15 +108,17 @@ class AlgorithmRegistry {
 
   size_t size() const { return entries_.size(); }
 
-  /// Runs `name` on `g` under `ctx`, synthesizing a weighted twin with
-  /// RunParams::weight_seed if the algorithm needs weights and `g` has
-  /// none.
+  /// Runs `name` on `g` under `ctx`. When the algorithm needs weights and
+  /// `g` has none, each run builds AddRandomWeights(g,
+  /// RunParams::weight_seed), a view sharing g's arrays, before the
+  /// counter frame opens.
   static Result<RunReport> Run(const std::string& name, const Graph& g,
                                const RunContext& ctx,
                                const RunParams& params = RunParams{});
 
-  /// As above, but uses the caller's `weighted` twin instead of
-  /// synthesizing one (Engine caches it across runs).
+  /// As above, but a weighted algorithm reads the caller's `weighted` view
+  /// of `g` instead of building one (QueryService passes its snapshot's
+  /// memoized view). Counters, residence and prefetch still follow `g`.
   static Result<RunReport> Run(const std::string& name, const Graph& g,
                                const Graph& weighted, const RunContext& ctx,
                                const RunParams& params = RunParams{});
@@ -125,7 +127,7 @@ class AlgorithmRegistry {
   AlgorithmRegistry() = default;
 
   static Result<RunReport> RunImpl(const std::string& name, const Graph& g,
-                                   const Graph* weighted_twin,
+                                   const Graph* weighted,
                                    const RunContext& ctx,
                                    const RunParams& params);
 
@@ -140,10 +142,10 @@ namespace internal {
 void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry);
 
 /// RAII shared hold on the registry's scheduler-width lock. Parallel work
-/// that runs *outside* Registry::Run but concurrently with it (the query
-/// service's weighted-twin synthesis) holds this so a width-changing run
-/// cannot rebuild the worker pool underneath it. Must be released before
-/// calling Registry::Run (the lock is not recursive).
+/// that runs *outside* Registry::Run but concurrently with it (a
+/// snapshot's weighted-view build, an update batch's merge) holds this so
+/// a width-changing run cannot rebuild the worker pool underneath it. Must
+/// be released before calling Registry::Run (the lock is not recursive).
 class SchedulerWidthGuard {
  public:
   SchedulerWidthGuard();

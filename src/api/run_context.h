@@ -110,9 +110,10 @@ struct RunParams {
   /// GraphFilter block size F_B for triangle counting / matching /
   /// set cover; 0 = default.
   uint32_t filter_block_size = 0;
-  /// Seed for weights synthesized when a weighted algorithm runs on an
-  /// unweighted graph (AddRandomWeights: uniform integers in
-  /// [1, max(2, ceil(log2 n)))).
+  /// Seed of the weights a weighted algorithm reads on an unweighted
+  /// graph (AddRandomWeights' view, uniform integers in
+  /// [1, max(2, ceil(log2 n))); a snapshot keeps the view of the last
+  /// seed asked for).
   uint64_t weight_seed = 99;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "common/random.h"
 #include "graph/delta.h"
@@ -104,8 +105,8 @@ Graph GraphBuilder::FromWeightedEdges(vertex_id n,
 
 Graph AddRandomWeights(const Graph& g, uint64_t seed) {
   // The raw spans below bypass a delta overlay; weight the merged view.
-  // (Weights hash the undirected pair, so the overlay view's twin matches
-  // the compacted graph's twin bit for bit.)
+  // (Weights hash the undirected pair, so the overlay view's weights match
+  // the compacted graph's bit for bit.)
   if (g.has_overlay()) return AddRandomWeights(FlattenOverlay(g), seed);
   vertex_id n = g.num_vertices();
   uint32_t max_w = 2;
@@ -123,9 +124,10 @@ Graph AddRandomWeights(const Graph& g, uint64_t seed) {
           1 + static_cast<weight_t>(rng.ith_rand(lo * n + hi) % (max_w - 1));
     }
   });
-  return Graph(std::vector<edge_offset>(offsets.begin(), offsets.end()),
-               std::vector<vertex_id>(neighbors.begin(), neighbors.end()),
-               std::move(weights), g.symmetric());
+  // Only the weights are new: the view reads g's own offsets and neighbors.
+  return Graph(std::make_shared<OverlayGraphStorage>(g.storage(), nullptr,
+                                                     std::move(weights)),
+               g.symmetric());
 }
 
 }  // namespace sage

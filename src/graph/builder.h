@@ -39,9 +39,11 @@ class GraphBuilder {
   static Graph FromWeightedEdges(vertex_id n, std::vector<WeightedEdge> edges);
 };
 
-/// Returns a copy of `g` with uniformly random integral weights in
+/// Returns `g` with uniformly random integral weights in
 /// [1, max(2, ceil(log2 n))), as in the paper's weighted experiments.
-/// Symmetric edges (u,v)/(v,u) receive the same weight.
+/// Symmetric edges (u,v)/(v,u) receive the same weight. The result shares
+/// g's offsets and neighbors (a mapped image stays NVRAM-resident) and
+/// owns only the m weights, in DRAM; an overlay view is flattened first.
 Graph AddRandomWeights(const Graph& g, uint64_t seed);
 
 }  // namespace sage

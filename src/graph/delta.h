@@ -19,7 +19,9 @@
 //     reads base + delta transparently; overlaid lists are charged as DRAM
 //     work reads with the same word count the base list would charge, so
 //     the overlay view's PSAM totals stay bit-identical to the compacted
-//     graph while the DRAM/NVRAM split reflects where the bytes live.
+//     graph while the DRAM/NVRAM split reflects where the bytes live. The
+//     same storage carries AddRandomWeights' DRAM weights over an
+//     overlay-free base, so a weighted run never copies the graph.
 //   - FlattenOverlay: materializes the merged CSR (compaction, or any
 //     writer that serializes through the raw spans).
 //
@@ -151,19 +153,27 @@ class DeltaOverlay {
   uint64_t delta_edges_ = 0;
 };
 
-/// GraphStorage presenting `base` with `overlay` merged into reads. The CSR
-/// spans, NVRAM residence, and page advice all forward to the base (the
-/// prefetch pipeline keeps advising the mapped image; overlaid lists are
-/// DRAM and need no advice); delta_overlay() hands the overlay to Graph.
+/// GraphStorage presenting `base` with DRAM state layered over it: either
+/// `overlay` merged into reads (an updated epoch), or `weights` standing in
+/// for the base's weights (AddRandomWeights' view). The offsets, neighbors,
+/// NVRAM residence, and page advice all forward to the base, so the mapped
+/// image is never copied and the prefetch pipeline keeps advising it;
+/// overlaid lists and DRAM weights need no advice. delta_overlay() hands
+/// the overlay (or nullptr) to Graph.
 class OverlayGraphStorage final : public GraphStorage {
  public:
   OverlayGraphStorage(std::shared_ptr<const GraphStorage> base,
-                      std::shared_ptr<const DeltaOverlay> overlay)
-      : base_(std::move(base)), overlay_(std::move(overlay)) {
-    SAGE_CHECK(base_ != nullptr && overlay_ != nullptr);
+                      std::shared_ptr<const DeltaOverlay> overlay,
+                      std::vector<weight_t> weights = {})
+      : base_(std::move(base)),
+        overlay_(std::move(overlay)),
+        weights_(std::move(weights)) {
+    SAGE_CHECK(base_ != nullptr);
     // Overlays never stack: ApplyUpdateBatch folds new updates into the
     // previous overlay instead, so reads stay one merge deep.
     SAGE_CHECK(base_->delta_overlay() == nullptr);
+    // Overlaid lists carry the base's weights, so the two never mix.
+    SAGE_CHECK(overlay_ == nullptr || weights_.empty());
   }
 
   std::span<const edge_offset> offsets() const override {
@@ -173,7 +183,7 @@ class OverlayGraphStorage final : public GraphStorage {
     return base_->neighbors();
   }
   std::span<const weight_t> weights() const override {
-    return base_->weights();
+    return weights_.empty() ? base_->weights() : weights_;
   }
   bool nvram_resident() const override { return base_->nvram_resident(); }
   const DeltaOverlay* delta_overlay() const override {
@@ -208,6 +218,7 @@ class OverlayGraphStorage final : public GraphStorage {
  private:
   std::shared_ptr<const GraphStorage> base_;
   std::shared_ptr<const DeltaOverlay> overlay_;
+  std::vector<weight_t> weights_;
 };
 
 /// Builds the overlay resulting from applying `updates` (in order) on top

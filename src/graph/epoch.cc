@@ -1,6 +1,20 @@
 #include "graph/epoch.h"
 
+#include "graph/builder.h"
+
 namespace sage {
+
+std::shared_ptr<const Graph> GraphSnapshot::WeightedView(uint64_t seed) const {
+  SAGE_DCHECK(!graph.weighted());
+  // Built under the lock: concurrent first runs of one seed wait for one
+  // build instead of each paying for their own.
+  MutexLock lock(weighted_mu_);
+  if (weighted_ == nullptr || weighted_seed_ != seed) {
+    weighted_ = std::make_shared<const Graph>(AddRandomWeights(graph, seed));
+    weighted_seed_ = seed;
+  }
+  return weighted_;
+}
 
 EpochManager::EpochManager(Graph initial, uint64_t delta_edges)
     : shared_(std::make_shared<Shared>()) {

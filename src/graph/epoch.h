@@ -32,9 +32,28 @@ namespace sage {
 /// structural delta of the view's overlay relative to the on-disk base
 /// image (0 for the original image and for freshly compacted epochs).
 struct GraphSnapshot {
+  GraphSnapshot(uint64_t epoch_number, Graph view, uint64_t delta)
+      : epoch(epoch_number), graph(std::move(view)), delta_edges(delta) {}
+
+  SAGE_DISALLOW_COPY_AND_ASSIGN(GraphSnapshot);
+
+  /// AddRandomWeights(graph, seed) for weighted algorithms on an
+  /// unweighted graph, built once and kept for the last seed asked for
+  /// (another seed replaces it; holders of the old view keep it alive)
+  /// until the snapshot is released. Thread-safe. The build runs parallel
+  /// work: callers running concurrently with AlgorithmRegistry::Run must
+  /// hold internal::SchedulerWidthGuard (QueryService does).
+  std::shared_ptr<const Graph> WeightedView(uint64_t seed) const
+      SAGE_EXCLUDES(weighted_mu_);
+
   uint64_t epoch = 0;
   Graph graph;
   uint64_t delta_edges = 0;
+
+ private:
+  mutable Mutex weighted_mu_;
+  mutable uint64_t weighted_seed_ SAGE_GUARDED_BY(weighted_mu_) = 0;
+  mutable std::shared_ptr<const Graph> weighted_ SAGE_GUARDED_BY(weighted_mu_);
 };
 
 class EpochManager {

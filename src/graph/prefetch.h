@@ -143,9 +143,10 @@ class Prefetcher {
   /// True when the graph is mapped and the advice thread is running.
   bool active() const { return storage_ != nullptr; }
 
-  /// True when `g` is the graph this pipeline was built over (EdgeMap may
-  /// run over a synthesized weighted twin; advice only makes sense for the
-  /// mapped original).
+  /// True when `g` reads the mapped offsets this pipeline was built over:
+  /// the mapped graph itself, or AddRandomWeights' view of it, which
+  /// shares its offsets and neighbors. An updated epoch's weighted view
+  /// reads a flattened DRAM copy instead, so it is not covered.
   bool Covers(const Graph& g) const {
     return active() && g.raw_offsets().data() == offsets_.data();
   }

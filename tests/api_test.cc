@@ -3,6 +3,7 @@
 // behavior, and the regression check that Registry::Run reports the same
 // PSAM counters as the pre-registry direct-call path.
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <regex>
@@ -140,8 +141,9 @@ TEST(AlgorithmRegistry, NamesAreUniqueAndKebabCase) {
 
 TEST(AlgorithmRegistry, RejectsBadRegistrations) {
   auto& reg = AlgorithmRegistry::Get();
-  auto noop = [](const Graph&, const Graph&, const RunContext&,
-                 const RunParams&) { return AlgoOutput{}; };
+  auto noop = [](const Graph&, const RunContext&, const RunParams&) {
+    return AlgoOutput{};
+  };
   auto digest = [](const AlgoOutput&) { return std::string("x"); };
   EXPECT_EQ(reg.Register({.name = "Not-Kebab"}, noop, digest).code(),
             StatusCode::kInvalidArgument);
@@ -157,7 +159,7 @@ TEST(AlgorithmRegistry, RejectsBadRegistrations) {
 }
 
 // Declared requirements must match what the runner actually consumes:
-// run every algorithm single-threaded on two weighted twins (different
+// run every algorithm single-threaded on two weighted views (different
 // weights, same structure) — output changes iff needs_weights; and from
 // two different sources — output changes iff needs_source.
 TEST(AlgorithmRegistry, DeclaredRequirementsMatchRunnerConsumption) {
@@ -294,6 +296,54 @@ TEST(AlgorithmRegistry, CountersMatchDirectCallPath) {
 
 // Sage's semi-asymmetric invariant, end to end through the facade: under
 // the graph-on-NVRAM policy no algorithm ever writes to NVRAM.
+// AddRandomWeights' view reads the input's own offsets and neighbors, so
+// a weighted run on it must charge exactly what a run on a full in-memory
+// copy of the same weighted graph charges: the same summary and every
+// counter, under every policy (residence follows the mapped input either
+// way). One worker: relaxation rounds race on writeMin.
+TEST(AlgorithmRegistry, WeightedViewChargesExactlyLikeACopy) {
+  const std::string path = ::testing::TempDir() + "/weighted_view.bsadj";
+  ASSERT_TRUE(WriteBinaryGraph(TestGraph(), path).ok());
+  auto mapped = MapBinaryGraph(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const Graph g = mapped.TakeValue();
+  ASSERT_FALSE(g.weighted());
+
+  const Graph view = AddRandomWeights(g, 7);
+  EXPECT_EQ(view.raw_offsets().data(), g.raw_offsets().data());
+  EXPECT_EQ(view.raw_neighbors().data(), g.raw_neighbors().data());
+  EXPECT_TRUE(view.nvram_resident());
+  ASSERT_EQ(view.raw_weights().size(), g.num_edges());
+  const Graph copy({view.raw_offsets().begin(), view.raw_offsets().end()},
+                   {view.raw_neighbors().begin(), view.raw_neighbors().end()},
+                   {view.raw_weights().begin(), view.raw_weights().end()},
+                   view.symmetric());
+  ASSERT_FALSE(copy.nvram_resident());
+
+  for (const nvram::AllocPolicy policy :
+       {nvram::AllocPolicy::kGraphNvram, nvram::AllocPolicy::kAllDram,
+        nvram::AllocPolicy::kAllNvram, nvram::AllocPolicy::kMemoryMode}) {
+    RunContext ctx;
+    ctx.policy = policy;
+    ctx.num_threads = 1;
+    for (const std::string algo : {"bellman-ford", "wbfs", "widest-path"}) {
+      const std::string label = algo + " " + nvram::AllocPolicyName(policy);
+      auto on_view = AlgorithmRegistry::Run(algo, g, view, ctx, {.source = 1});
+      auto on_copy = AlgorithmRegistry::Run(algo, g, copy, ctx, {.source = 1});
+      ASSERT_TRUE(on_view.ok()) << label << ": " << on_view.status().ToString();
+      ASSERT_TRUE(on_copy.ok()) << label << ": " << on_copy.status().ToString();
+      const RunReport& a = on_view.ValueOrDie();
+      const RunReport& b = on_copy.ValueOrDie();
+      EXPECT_EQ(a.summary, b.summary) << label;
+      ExpectTotalsEq(a.cost, b.cost, label);
+      EXPECT_EQ(a.cost.nvram_prefetch_reads, b.cost.nvram_prefetch_reads)
+          << label;
+    }
+  }
+  Scheduler::Reset(0);
+  std::remove(path.c_str());
+}
+
 TEST(AlgorithmRegistry, NoNvramWritesUnderGraphNvramPolicy) {
   Graph g = TestGraph();
   RunContext ctx;
@@ -414,7 +464,8 @@ TEST(Engine, RunsWeightedAlgorithmsOnUnweightedGraphs) {
   EXPECT_FALSE(engine.graph().weighted());
   auto first = engine.Run("bellman-ford", {.source = 1});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  // Second run reuses the cached weighted twin: identical output.
+  // Second run reads the snapshot's memoized weighted view: identical
+  // output.
   auto second = engine.Run("bellman-ford", {.source = 1});
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(FingerprintOutput(first.ValueOrDie().output),

@@ -1,6 +1,6 @@
 // Concurrency suite for the multi-tenant query engine: per-run
 // ExecutionContext counter isolation, ambient-config immunity, the
-// race-free weighted-twin cache, and the QueryService bounded queue.
+// race-free weighted-view memo, and the QueryService bounded queue.
 //
 // The isolation tests lean on a property the per-run contexts must
 // provide: an algorithm's PSAM counters are a deterministic function of
@@ -228,10 +228,10 @@ TEST(Concurrency, OverlappingRunsLeaveAmbientConfigUntouched) {
   ambient.SetConfig(cfg);
 }
 
-// Regression test for the weighted-twin synthesis race: 8 threads hammer a
-// weighted algorithm through Engine::Submit on an unweighted graph. All
-// runs of one seed must agree (one twin, synthesized once, never
-// invalidated under a concurrent different-seed run).
+// Regression test for the weighted-view race: 8 threads hammer a weighted
+// algorithm through Engine::Submit on an unweighted graph. All runs of one
+// seed must agree (a view replaced by a different-seed run stays whole for
+// the runs still reading it).
 TEST(Concurrency, EngineWeightedTwinSynthesisIsRaceFree) {
   Engine engine(SharedGraph());
   ASSERT_FALSE(engine.graph().weighted());
@@ -246,8 +246,8 @@ TEST(Concurrency, EngineWeightedTwinSynthesisIsRaceFree) {
         for (int i = 0; i < kPerThread; ++i) {
           RunParams params;
           params.source = 1;
-          // Two seeds interleave across threads: the per-seed cache must
-          // serve both without invalidating either.
+          // Two seeds interleave across threads: the snapshot's memo must
+          // serve both without breaking either's in-flight runs.
           params.weight_seed = (t % 2 == 0) ? 7 : 8;
           futures[t].push_back(engine.Submit("bellman-ford", params));
         }

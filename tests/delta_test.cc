@@ -493,6 +493,43 @@ TEST(EpochManager, MappedEpochReleasesStorageWhenLastReaderRetires) {
   EXPECT_TRUE(mapping.expired());
 }
 
+// A snapshot keeps one weighted view, for the last seed asked for: runs
+// with that seed share it, another seed replaces it without breaking an
+// earlier holder, and the view is released with its epoch.
+TEST(EpochWeightedView, OneViewPerSeedReleasedWithItsEpoch) {
+  Engine engine(SharedGraph());
+  std::shared_ptr<const GraphSnapshot> snapshot = engine.PinSnapshot();
+  ASSERT_FALSE(snapshot->graph.weighted());
+
+  ASSERT_TRUE(engine.Run("bellman-ford", {.source = 1, .weight_seed = 7}).ok());
+  std::shared_ptr<const Graph> seven = snapshot->WeightedView(7);
+  ASSERT_TRUE(engine.Run("wbfs", {.source = 1, .weight_seed = 7}).ok());
+  EXPECT_EQ(snapshot->WeightedView(7), seven)
+      << "runs with one seed share one view";
+  EXPECT_EQ(seven->raw_neighbors().data(),
+            snapshot->graph.raw_neighbors().data())
+      << "the view shares the snapshot's graph";
+
+  ASSERT_TRUE(engine.Run("bellman-ford", {.source = 1, .weight_seed = 8}).ok());
+  std::shared_ptr<const Graph> eight = snapshot->WeightedView(8);
+  EXPECT_NE(eight, seven);
+  // The replaced view stays whole and readable for its holder.
+  const Graph expected = AddRandomWeights(snapshot->graph, 7);
+  ASSERT_EQ(seven->raw_weights().size(), expected.raw_weights().size());
+  EXPECT_TRUE(std::equal(seven->raw_weights().begin(),
+                         seven->raw_weights().end(),
+                         expected.raw_weights().begin()));
+
+  std::weak_ptr<const Graph> released = eight;
+  seven.reset();
+  eight.reset();
+  snapshot.reset();
+  EXPECT_FALSE(released.expired()) << "the current epoch keeps its view";
+  ASSERT_TRUE(engine.ApplyUpdates({EdgeUpdate::Insert(3, 700)}).ok());
+  engine.epochs().WaitForRetiredBelow(1);
+  EXPECT_TRUE(released.expired()) << "a retired epoch releases its view";
+}
+
 // ---------------------------------------------------------------------------
 // Engine::ApplyUpdates / Engine::Compact
 // ---------------------------------------------------------------------------
@@ -609,9 +646,10 @@ TEST(EngineUpdates, CompactRewritesMappedImageInPlace) {
 }
 
 TEST(EngineUpdates, WeightedAlgorithmOnUpdatedEpochMatchesCompactedTwin) {
-  // Weighted algorithms on unweighted updated epochs synthesize a per-run
-  // twin from their snapshot; the pairwise weight hash makes the overlay
-  // and compacted twins identical, so the results must agree.
+  // Weighted algorithms on unweighted updated epochs read their
+  // snapshot's weighted view of the flattened overlay; the pairwise weight
+  // hash makes it identical to the compacted graph's, so the results must
+  // agree.
   Engine overlay_engine(SharedGraph());
   Engine compact_engine(SharedGraph());
   std::vector<EdgeUpdate> batch = {EdgeUpdate::Insert(3, 700),
@@ -705,7 +743,7 @@ TEST(UpdateParity, CompactedGraphMatchesOverlayViewBitForBit) {
     EXPECT_EQ(ra.cost.nvram_writes, rb.cost.nvram_writes) << algo;
     EXPECT_DOUBLE_EQ(ra.PsamCost(), rb.PsamCost()) << algo;
     if (relax) {
-      // Weighted runs read a weighted twin of the merged view in both
+      // Weighted runs read a weighted view of the merged graph in both
       // engines, so even the DRAM/NVRAM split matches.
       ExpectTotalsEq(ra.cost, rb.cost, algo);
     } else {

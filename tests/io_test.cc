@@ -248,7 +248,7 @@ TEST(FormatDetection, BinaryMagicWinsOverTextSniffing) {
   EXPECT_EQ(fmt.ValueOrDie(), GraphFileFormat::kBinaryCsr);
 
   // And the .bsadj extension breaks the tie for an empty file.
-  std::string empty = TempPath("empty.bsadj");
+  std::string empty = TempPath("detect_empty.bsadj");
   WriteFile(empty, "");
   auto fmt_ext = DetectGraphFormat(empty);
   ASSERT_TRUE(fmt_ext.ok());

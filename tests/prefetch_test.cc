@@ -251,57 +251,62 @@ TEST(Prefetcher, ConsecutiveDenseWavesSlideThroughTheSpan) {
 // The parity property: enabling prefetch may only change wall time and the
 // distinct prefetch counters, never an algorithm's summary or its PSAM
 // accounting. Anything else means the pipeline leaked into the cost model.
-// The image is weighted so the relaxation kernels run on the mapped graph
-// itself (an unweighted image would hand them an in-memory weighted twin
-// the pipeline does not cover), and their dense-forward rounds advise the
-// frontier's pages.
+// On the weighted image the relaxation kernels read the mapped graph
+// itself; on the unweighted one they read AddRandomWeights' view, which
+// shares the mapped offsets and neighbors, so the pipeline covers both and
+// their dense-forward rounds advise the frontier's pages.
 TEST(Prefetcher, EngineRunsAreIdenticalWithPrefetchOnAndOff) {
-  Graph g = AddRandomWeights(RmatGraph(10, 30000, 11), 5);
-  std::string path = TempPath("prefetch_parity.bsadj");
-  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
-  auto mapped = MapBinaryGraph(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  Graph mg = mapped.TakeValue();
-  ASSERT_TRUE(mg.weighted());
+  for (const bool weighted : {true, false}) {
+    Graph g = RmatGraph(10, 30000, 11);
+    if (weighted) g = AddRandomWeights(g, 5);
+    std::string path = TempPath("prefetch_parity.bsadj");
+    ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+    auto mapped = MapBinaryGraph(path);
+    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+    Graph mg = mapped.TakeValue();
+    ASSERT_EQ(mg.weighted(), weighted);
 
-  for (const std::string algo :
-       {"bfs", "connectivity", "pagerank", "bellman-ford", "wbfs"}) {
-    RunContext off;
-    RunContext on;
-    on.prefetch.enabled = true;
-    // Relaxation rounds race on writeMin, and which racer wins steers the
-    // next frontier: their counters reproduce exactly on one worker.
-    if (algo == "bellman-ford" || algo == "wbfs") {
-      off.num_threads = on.num_threads = 1;
-    }
-    auto off_run = AlgorithmRegistry::Run(algo, mg, off);
-    auto on_run = AlgorithmRegistry::Run(algo, mg, on);
-    ASSERT_TRUE(off_run.ok()) << off_run.status().ToString();
-    ASSERT_TRUE(on_run.ok()) << on_run.status().ToString();
-    const RunReport& a = off_run.ValueOrDie();
-    const RunReport& b = on_run.ValueOrDie();
+    for (const std::string algo :
+         {"bfs", "connectivity", "pagerank", "bellman-ford", "wbfs"}) {
+      const std::string label =
+          algo + (weighted ? " (weighted image)" : " (unweighted image)");
+      RunContext off;
+      RunContext on;
+      on.prefetch.enabled = true;
+      // Relaxation rounds race on writeMin, and which racer wins steers the
+      // next frontier: their counters reproduce exactly on one worker.
+      if (algo == "bellman-ford" || algo == "wbfs") {
+        off.num_threads = on.num_threads = 1;
+      }
+      auto off_run = AlgorithmRegistry::Run(algo, mg, off);
+      auto on_run = AlgorithmRegistry::Run(algo, mg, on);
+      ASSERT_TRUE(off_run.ok()) << off_run.status().ToString();
+      ASSERT_TRUE(on_run.ok()) << on_run.status().ToString();
+      const RunReport& a = off_run.ValueOrDie();
+      const RunReport& b = on_run.ValueOrDie();
 
-    EXPECT_FALSE(a.prefetch_enabled);
-    EXPECT_TRUE(b.prefetch_enabled);
-    // PageRank iterates densely without EdgeMap, so it enqueues no waves;
-    // the frontier-driven algorithms must.
-    if (algo != "pagerank") {
-      EXPECT_GT(b.prefetch_waves, 0u) << algo;
+      EXPECT_FALSE(a.prefetch_enabled);
+      EXPECT_TRUE(b.prefetch_enabled);
+      // PageRank iterates densely without EdgeMap, so it enqueues no waves;
+      // the frontier-driven algorithms must.
+      if (algo != "pagerank") {
+        EXPECT_GT(b.prefetch_waves, 0u) << label;
+      }
+      EXPECT_EQ(a.summary, b.summary) << label;
+      EXPECT_EQ(a.cost.dram_reads, b.cost.dram_reads) << label;
+      EXPECT_EQ(a.cost.dram_writes, b.cost.dram_writes) << label;
+      EXPECT_EQ(a.cost.nvram_reads, b.cost.nvram_reads) << label;
+      EXPECT_EQ(a.cost.nvram_writes, b.cost.nvram_writes) << label;
+      EXPECT_EQ(a.cost.remote_nvram_accesses, b.cost.remote_nvram_accesses)
+          << label;
+      EXPECT_EQ(a.cost.memory_mode_hits, b.cost.memory_mode_hits) << label;
+      EXPECT_EQ(a.cost.memory_mode_misses, b.cost.memory_mode_misses) << label;
+      EXPECT_EQ(a.PsamCost(), b.PsamCost()) << label;
+      // The off run must not carry any prefetch charge at all.
+      EXPECT_EQ(a.cost.nvram_prefetch_reads, 0u) << label;
     }
-    EXPECT_EQ(a.summary, b.summary) << algo;
-    EXPECT_EQ(a.cost.dram_reads, b.cost.dram_reads) << algo;
-    EXPECT_EQ(a.cost.dram_writes, b.cost.dram_writes) << algo;
-    EXPECT_EQ(a.cost.nvram_reads, b.cost.nvram_reads) << algo;
-    EXPECT_EQ(a.cost.nvram_writes, b.cost.nvram_writes) << algo;
-    EXPECT_EQ(a.cost.remote_nvram_accesses, b.cost.remote_nvram_accesses)
-        << algo;
-    EXPECT_EQ(a.cost.memory_mode_hits, b.cost.memory_mode_hits) << algo;
-    EXPECT_EQ(a.cost.memory_mode_misses, b.cost.memory_mode_misses) << algo;
-    EXPECT_EQ(a.PsamCost(), b.PsamCost()) << algo;
-    // The off run must not carry any prefetch charge at all.
-    EXPECT_EQ(a.cost.nvram_prefetch_reads, 0u) << algo;
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(EvictGraphPages, DropsResidency) {

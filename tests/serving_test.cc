@@ -41,8 +41,8 @@ std::vector<uint64_t> g_order;
 
 // test-spin: polls CheckInterrupt like an edgeMap round boundary until
 // interrupted (deadline/cancel) or a safety bound trips.
-AlgoOutput SpinUntilInterrupted(const Graph&, const Graph&,
-                                const RunContext&, const RunParams&) {
+AlgoOutput SpinUntilInterrupted(const Graph&, const RunContext&,
+                                const RunParams&) {
   const auto bound = std::chrono::steady_clock::now() +
                      std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < bound) {
@@ -59,8 +59,7 @@ void RegisterServingTestAlgorithms() {
         AlgorithmInfo{.name = "test-gate",
                       .table1_row = "TestGate",
                       .description = "test: parks until the gate opens"},
-        [](const Graph&, const Graph&, const RunContext&, const RunParams&)
-            -> AlgoOutput {
+        [](const Graph&, const RunContext&, const RunParams&) -> AlgoOutput {
           g_gate_entered.fetch_add(1);
           while (!g_gate_open.load()) {
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -73,8 +72,8 @@ void RegisterServingTestAlgorithms() {
                       .table1_row = "TestOrder",
                       .params_used = kParamSeed,
                       .description = "test: records dequeue order"},
-        [](const Graph&, const Graph&, const RunContext&,
-           const RunParams& params) -> AlgoOutput {
+        [](const Graph&, const RunContext&, const RunParams& params)
+            -> AlgoOutput {
           std::lock_guard<std::mutex> lock(g_order_mu);
           g_order.push_back(params.seed);
           return std::vector<uint64_t>{params.seed};

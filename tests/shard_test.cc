@@ -153,8 +153,8 @@ TEST(Shard, SegmentFilesRejectMonolithicOpen) {
 // over a k-shard mapping are bit-identical to the monolithic image.
 TEST(ShardParity, AlgorithmsMatchMonolithicBitForBit) {
   Graph g = RmatGraph(10, 20000, 17);
-  std::string mono = TempPath("parity.bsadj");
-  std::string manifest = TempPath("parity.bsadjx");
+  std::string mono = TempPath("shard_parity.bsadj");
+  std::string manifest = TempPath("shard_parity.bsadjx");
   ASSERT_TRUE(WriteBinaryGraph(g, mono).ok());
   ASSERT_TRUE(WriteShardedGraph(g, manifest, 4).ok());
   auto mono_g = MapBinaryGraph(mono);

@@ -8,8 +8,11 @@
 //
 // This suite runs under the CI ThreadSanitizer lane (SAGE_SANITIZE=thread);
 // keep new tests free of intentionally-racy constructs.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -206,6 +209,75 @@ TEST(CompactionConcurrency, SubmitRacesApplyUpdatesAndCompact) {
   auto final_run = engine.Run("connectivity");
   ASSERT_TRUE(final_run.ok());
   EXPECT_EQ(final_run.ValueOrDie().summary, "components=2");
+}
+
+// A compaction whose rewrite fails must still publish the log entries it
+// drained: a writer whose batch it drained is acknowledged, so its edge
+// must reach an epoch. A directory at the rewrite's temporary path makes
+// every Compact with an overlay to fold fail after its drain.
+TEST(CompactionConcurrency, FailedCompactKeepsAcknowledgedUpdates) {
+  constexpr vertex_id kWriters = 4;
+  constexpr vertex_id kPerWriter = 64;
+  constexpr vertex_id kPairs = kWriters * kPerWriter;
+  // Pairs (2k, 2k + 1) are all absent from the base, whose one edge joins
+  // the two vertices past them.
+  const Graph base =
+      GraphBuilder::FromEdges(2 * kPairs + 2, {{2 * kPairs, 2 * kPairs + 1}});
+  const std::string path = TempPath("compact_fails.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(base, path).ok());
+  const std::string tmp = path + ".compact.tmp";
+  std::filesystem::remove_all(tmp);
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  auto engine_or = Engine::FromFile(path);
+  ASSERT_TRUE(engine_or.ok()) << engine_or.status().ToString();
+  Engine engine = engine_or.TakeValue();
+
+  // Writers start once the compactor is looping, so every batch races it.
+  std::atomic<bool> compacting{false};
+  std::atomic<bool> writing{true};
+  std::atomic<uint64_t> failed_compactions{0};
+  std::thread compactor([&] {
+    while (writing.load(std::memory_order_acquire)) {
+      if (!engine.Compact().ok()) failed_compactions.fetch_add(1);
+      compacting.store(true, std::memory_order_release);
+    }
+  });
+  std::vector<std::vector<vertex_id>> acknowledged(kWriters);
+  {
+    std::vector<std::thread> writers;
+    for (vertex_id w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        while (!compacting.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        // Writer w owns pairs [w * kPerWriter, (w + 1) * kPerWriter).
+        for (vertex_id k = w * kPerWriter; k < (w + 1) * kPerWriter; ++k) {
+          auto stats =
+              engine.ApplyUpdates({EdgeUpdate::Insert(2 * k, 2 * k + 1)});
+          if (stats.ok()) acknowledged[w].push_back(k);
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+  }
+  writing.store(false, std::memory_order_release);
+  compactor.join();
+  EXPECT_GT(failed_compactions.load(), 0u) << "the rewrite never failed";
+
+  const Graph view = engine.graph();
+  size_t acknowledged_edges = 0;
+  for (const std::vector<vertex_id>& pairs : acknowledged) {
+    acknowledged_edges += pairs.size();
+    for (vertex_id k : pairs) {
+      auto nbrs = view.NeighborsUncharged(2 * k);
+      EXPECT_NE(std::find(nbrs.begin(), nbrs.end(), 2 * k + 1), nbrs.end())
+          << "acknowledged edge (" << 2 * k << ", " << 2 * k + 1
+          << ") is missing from the current epoch";
+    }
+  }
+  EXPECT_EQ(acknowledged_edges, size_t{kPairs});
+  std::filesystem::remove_all(tmp);
+  std::remove(path.c_str());
 }
 
 // The compaction hot-swap's mapping lifecycle: the mapping superseded by a
