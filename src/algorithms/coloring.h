@@ -10,7 +10,7 @@
 
 #include "common/random.h"
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 

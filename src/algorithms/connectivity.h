@@ -12,7 +12,7 @@
 #include "algorithms/union_find.h"
 #include "core/edge_map.h"
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 

@@ -11,7 +11,7 @@
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 #include "parallel/sort.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 
 namespace sage {
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 
@@ -40,7 +40,7 @@ PageRankResult PageRank(const GraphT& g, double epsilon = 1e-6,
       contrib[u] = d == 0 ? 0.0 : p[u] / d;
     });
     cm.ChargeWorkWrite(n);
-    parallel_for(0, n, [&](size_t vi) {
+    parallel_for_batched(0, n, [&](size_t vi) {
       vertex_id v = static_cast<vertex_id>(vi);
       double acc = g.template ReduceNeighbors<double>(
           v,

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/parallel.h"
 
 namespace sage {

@@ -105,15 +105,19 @@ uint64_t ResultCache::EstimateBytes(const RunReport& report) {
 }
 
 bool ResultCache::Lookup(const std::string& key, RunReport* out) {
-  MutexLock lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return false;
+  SharedReport report;
+  {
+    MutexLock lock(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++stats_.misses;
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+    ++stats_.hits;
+    report = it->second->report;
   }
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  ++stats_.hits;
-  *out = it->second->report;
+  *out = *report;
   return true;
 }
 
@@ -121,6 +125,8 @@ void ResultCache::Insert(const std::string& key, uint64_t epoch,
                          const RunReport& report) {
   const uint64_t bytes = EstimateBytes(report);
   if (bytes > max_bytes_) return;  // would evict the whole cache for one row
+  SharedReport shared = std::make_shared<const RunReport>(report);
+  std::vector<SharedReport> released;  // destroyed after the lock
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -129,36 +135,38 @@ void ResultCache::Insert(const std::string& key, uint64_t epoch,
     lru_.splice(lru_.begin(), lru_, it->second);
     stats_.bytes += bytes - it->second->bytes;
     it->second->bytes = bytes;
-    it->second->report = report;
+    released.push_back(std::exchange(it->second->report, std::move(shared)));
     it->second->epoch = epoch;
   } else {
-    lru_.push_front(Entry{key, epoch, bytes, report});
+    lru_.push_front(Entry{key, epoch, bytes, std::move(shared)});
     index_[key] = lru_.begin();
     stats_.bytes += bytes;
     ++stats_.entries;
     ++stats_.insertions;
   }
-  EvictToBudgetLocked();
+  EvictToBudgetLocked(&released);
 }
 
 void ResultCache::DropEpoch(uint64_t epoch) {
+  std::vector<SharedReport> released;  // destroyed after the lock
   MutexLock lock(mu_);
   for (auto it = lru_.begin(); it != lru_.end();) {
     auto next = std::next(it);
     if (it->epoch == epoch) {
       ++stats_.invalidations;
-      EraseLocked(it);
+      EraseLocked(it, &released);
     }
     it = next;
   }
 }
 
 void ResultCache::Clear() {
+  std::vector<SharedReport> released;  // destroyed after the lock
   MutexLock lock(mu_);
   stats_.invalidations += lru_.size();
   for (auto it = lru_.begin(); it != lru_.end();) {
     auto next = std::next(it);
-    EraseLocked(it);
+    EraseLocked(it, &released);
     it = next;
   }
 }
@@ -168,16 +176,18 @@ ResultCacheStats ResultCache::stats() const {
   return stats_;
 }
 
-void ResultCache::EvictToBudgetLocked() {
+void ResultCache::EvictToBudgetLocked(std::vector<SharedReport>* released) {
   while (stats_.bytes > max_bytes_ && !lru_.empty()) {
     ++stats_.evictions;
-    EraseLocked(std::prev(lru_.end()));
+    EraseLocked(std::prev(lru_.end()), released);
   }
 }
 
-void ResultCache::EraseLocked(Lru::iterator it) {
+void ResultCache::EraseLocked(Lru::iterator it,
+                              std::vector<SharedReport>* released) {
   stats_.bytes -= it->bytes;
   --stats_.entries;
+  released->push_back(std::move(it->report));
   index_.erase(it->key);
   lru_.erase(it);
 }

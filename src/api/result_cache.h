@@ -16,15 +16,20 @@
 // eagerly by the EpochManager retire listener the Engine registers.
 //
 // Eviction is LRU over an approximate byte budget (summary + output
-// payload + key overhead). One mutex guards the map+list: lookups copy the
-// report out under the lock; the multi-second kernel runs the cache fronts
-// never touch it.
+// payload + key overhead). One mutex guards the map+list, and no report is
+// copied or freed under it: entries hold shared immutable reports, a
+// lookup takes a reference under the lock and copies after releasing it,
+// an insert builds its shared report before locking, and evicted or
+// dropped reports are released after unlocking. The multi-second kernel
+// runs the cache fronts never touch it.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "api/registry.h"
 #include "api/run_context.h"
@@ -82,16 +87,21 @@ class ResultCache {
   uint64_t max_bytes() const { return max_bytes_; }
 
  private:
+  using SharedReport = std::shared_ptr<const RunReport>;
   struct Entry {
     std::string key;
     uint64_t epoch = 0;
     uint64_t bytes = 0;
-    RunReport report;
+    SharedReport report;
   };
   using Lru = std::list<Entry>;
 
-  void EvictToBudgetLocked() SAGE_REQUIRES(mu_);
-  void EraseLocked(Lru::iterator it) SAGE_REQUIRES(mu_);
+  /// Both move the erased entries' reports into `released`, which the
+  /// caller destroys after unlocking.
+  void EvictToBudgetLocked(std::vector<SharedReport>* released)
+      SAGE_REQUIRES(mu_);
+  void EraseLocked(Lru::iterator it, std::vector<SharedReport>* released)
+      SAGE_REQUIRES(mu_);
 
   const uint64_t max_bytes_;
   mutable Mutex mu_;

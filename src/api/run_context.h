@@ -34,7 +34,7 @@
 #include "common/status.h"
 #include "core/edge_map.h"
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 
 namespace sage {
 

@@ -18,7 +18,7 @@
 #include "algorithms/bellman_ford.h"  // internal::WriteMin
 #include "graph/graph.h"
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 

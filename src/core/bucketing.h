@@ -32,7 +32,7 @@
 
 #include "common/macros.h"
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "nvram/memory_tracker.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"

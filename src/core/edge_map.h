@@ -45,7 +45,6 @@
 #include "graph/compressed_graph.h"
 #include "graph/graph.h"
 #include "graph/prefetch.h"
-#include "nvram/cost_model.h"
 #include "nvram/execution_context.h"
 #include "nvram/memory_tracker.h"
 #include "parallel/parallel.h"
@@ -111,7 +110,8 @@ constexpr bool NoEarlyExit() {
   }
 }
 
-/// Sum of out-degrees over the frontier (charges the offset reads).
+/// Sum of out-degrees over the frontier (charges the offset reads, summed
+/// per block by reduce's charge batches).
 template <typename GraphT>
 uint64_t FrontierDegree(const GraphT& g, const VertexSubset& frontier) {
   if (frontier.is_dense()) {
@@ -134,7 +134,7 @@ VertexSubset EdgeMapDense(const GraphT& g, const VertexSubset& frontier,
   auto& cm = nvram::Cost();
   const auto& in_frontier = frontier.flags();
   std::vector<uint8_t> next(n, 0);
-  parallel_for(0, n, [&](size_t vi) {
+  parallel_for_batched(0, n, [&](size_t vi) {
     vertex_id v = static_cast<vertex_id>(vi);
     if (!f.cond(v)) return;
     uint64_t examined = 0;
@@ -163,7 +163,7 @@ VertexSubset EdgeMapDenseForward(const GraphT& g, const VertexSubset& frontier,
   auto& cm = nvram::Cost();
   const auto& ids = frontier.ids();
   std::vector<uint8_t> next(n, 0);
-  parallel_for(0, ids.size(), [&](size_t i) {
+  parallel_for_batched(0, ids.size(), [&](size_t i) {
     const vertex_id u = ids[i];
     uint64_t examined = 0;
     g.MapNeighbors(u, [&](vertex_id, vertex_id v, weight_t w) {
@@ -347,7 +347,7 @@ VertexSubset EdgeMapChunked(const GraphT& g, const VertexSubset& frontier,
   // --- Per-group traversal into pooled chunks (lines 19-23). ---
   auto& pool = ChunkPool::Get(chunk_capacity);
   std::vector<std::vector<std::unique_ptr<Chunk>>> group_chunks(num_groups);
-  parallel_for(
+  parallel_for_batched(
       0, num_groups,
       [&](size_t gi) {
         auto& chunks = group_chunks[gi];

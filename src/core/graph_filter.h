@@ -32,7 +32,7 @@
 #include "core/vertex_subset.h"
 #include "graph/compressed_graph.h"
 #include "graph/graph.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "nvram/memory_tracker.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"

@@ -24,7 +24,7 @@
 
 #include "core/vertex_subset.h"
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 #include "parallel/sort.h"
@@ -171,7 +171,7 @@ std::vector<std::pair<vertex_id, uint32_t>> SparseNeighborHistogram(
                [&](size_t i) { offs[i] = g.degree_uncharged(ids[i]); });
   uint64_t total = scan_add_inplace(offs);
   std::vector<vertex_id> keys(total);
-  parallel_for(0, ids.size(), [&](size_t i) {
+  parallel_for_batched(0, ids.size(), [&](size_t i) {
     uint64_t j = offs[i];
     g.MapNeighbors(ids[i], [&](vertex_id, vertex_id v, weight_t) {
       keys[j++] = pred(v) ? v : kNoVertex;
@@ -190,7 +190,7 @@ std::vector<std::pair<vertex_id, uint32_t>> DenseNeighborHistogram(
   const vertex_id n = g.num_vertices();
   const auto& flags = frontier.flags();
   std::vector<uint32_t> counts(n, 0);
-  parallel_for(0, n, [&](size_t vi) {
+  parallel_for_batched(0, n, [&](size_t vi) {
     vertex_id v = static_cast<vertex_id>(vi);
     if (!pred(v)) return;
     uint32_t c = 0;

@@ -22,7 +22,7 @@
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "graph/varint.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/primitives.h"
 
 namespace sage {

@@ -31,7 +31,7 @@
 
 #include "common/macros.h"
 #include "graph/types.h"
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/primitives.h"
 
 namespace sage {

@@ -112,6 +112,7 @@ void CostModel::SetGraphShards(std::span<const uint64_t> edge_starts) {
     num_graph_shards_ = 0;
     shard_io_.reset();
     shard_io_stride_ = 0;
+    Reroute();
     return;
   }
   const uint32_t k = static_cast<uint32_t>(edge_starts.size() - 1);
@@ -126,6 +127,7 @@ void CostModel::SetGraphShards(std::span<const uint64_t> edge_starts) {
   const size_t total =
       shard_io_stride_ * static_cast<size_t>(Scheduler::kMaxShards);
   shard_io_ = std::make_unique<uint64_t[]>(total);  // value-initialized
+  Reroute();
 }
 
 uint32_t CostModel::GraphShardOf(uint64_t addr_hint) const {
@@ -144,9 +146,7 @@ void CostModel::AttributeGraphShard(uint64_t words, uint64_t addr_hint,
                                     bool is_write) {
   const uint32_t k = num_graph_shards_;
   if (k == 0) return;
-  int id = Scheduler::shard_id();
-  const size_t slot =
-      static_cast<size_t>(id >= 0 && id < Scheduler::kMaxShards ? id : 0);
+  const size_t slot = static_cast<size_t>(Scheduler::shard_id());
   const uint32_t s = GraphShardOf(addr_hint);
   shard_io_[slot * shard_io_stride_ + static_cast<size_t>(s) * 2 +
             (is_write ? 1 : 0)] += words;
@@ -191,12 +191,6 @@ void CostModel::ChargeNvramRead(Shard& s, uint64_t words,
   }
 }
 
-void CostModel::ChargeNvramWrite(Shard& s, uint64_t words,
-                                 uint64_t addr_hint) {
-  (void)addr_hint;
-  s.totals.nvram_writes += words;
-}
-
 void CostModel::ChargeMemoryMode(Shard& s, uint64_t words, uint64_t addr_hint,
                                  bool is_write) {
   // Walk the cache lines this access covers through the direct-mapped tag
@@ -234,83 +228,64 @@ void CostModel::ChargeMemoryMode(Shard& s, uint64_t words, uint64_t addr_hint,
   }
 }
 
-void CostModel::ChargeGraphRead(uint64_t words, uint64_t addr_hint) {
-  Shard& s = LocalShard();
+CostModel::Sink CostModel::SinkOf(ChargeKind kind) const {
   switch (policy_) {
     case AllocPolicy::kAllDram:
       // A mapped graph cannot be "in DRAM" by policy: the bytes live in the
       // NVRAM file image, so its reads pay NVRAM cost even here.
-      if (graph_residence_ == GraphResidence::kMappedNvram) {
-        ChargeNvramRead(s, words, addr_hint);
-        AttributeGraphShard(words, addr_hint, /*is_write=*/false);
-      } else {
-        s.totals.dram_reads += words;
-      }
-      break;
+      return kind == ChargeKind::kGraphRead &&
+                     graph_residence_ == GraphResidence::kMappedNvram
+                 ? Sink::kNvram
+                 : Sink::kDram;
     case AllocPolicy::kGraphNvram:
+      return IsGraph(kind) ? Sink::kNvram : Sink::kDram;
     case AllocPolicy::kAllNvram:
-      ChargeNvramRead(s, words, addr_hint);
-      AttributeGraphShard(words, addr_hint, /*is_write=*/false);
-      break;
+      return Sink::kNvram;
     case AllocPolicy::kMemoryMode:
-      ChargeMemoryMode(s, words, addr_hint, /*is_write=*/false);
-      break;
+      return Sink::kMemoryMode;
+  }
+  return Sink::kMemoryMode;
+}
+
+void CostModel::Reroute() {
+  // Per call: the cache simulation, remote NVRAM reads unless every read
+  // is socket-local, and the shard bin of a graph charge.
+  const bool numa =
+      config_.num_sockets > 1 && graph_layout_ != GraphLayout::kReplicated;
+  for (int k = 0; k < kChargeKinds; ++k) {
+    const auto kind = static_cast<ChargeKind>(k);
+    const bool write = IsWrite(kind);
+    const Sink sink = SinkOf(kind);
+    const bool per_call =
+        sink == Sink::kMemoryMode ||
+        (sink == Sink::kNvram &&
+         ((IsGraph(kind) && num_graph_shards_ > 0) || (numa && !write)));
+    if (per_call) {
+      routes_[k] = nullptr;
+    } else if (sink == Sink::kDram) {
+      routes_[k] = write ? &CostTotals::dram_writes : &CostTotals::dram_reads;
+    } else {
+      routes_[k] = write ? &CostTotals::nvram_writes : &CostTotals::nvram_reads;
+    }
   }
 }
 
-void CostModel::ChargeGraphWrite(uint64_t words, uint64_t addr_hint) {
+void CostModel::ChargeSlow(ChargeKind kind, uint64_t words,
+                           uint64_t addr_hint) {
   Shard& s = LocalShard();
-  switch (policy_) {
-    case AllocPolicy::kAllDram:
-      s.totals.dram_writes += words;
-      break;
-    case AllocPolicy::kGraphNvram:
-    case AllocPolicy::kAllNvram:
-      ChargeNvramWrite(s, words, addr_hint);
-      AttributeGraphShard(words, addr_hint, /*is_write=*/true);
-      break;
-    case AllocPolicy::kMemoryMode:
-      ChargeMemoryMode(s, words, addr_hint, /*is_write=*/true);
-      break;
+  const bool write = IsWrite(kind);
+  const Sink sink = SinkOf(kind);
+  if (sink == Sink::kMemoryMode) {
+    ChargeMemoryMode(s, words, addr_hint, write);
+    return;
   }
-}
-
-void CostModel::ChargeWorkRead(uint64_t words, uint64_t addr_hint) {
-  Shard& s = LocalShard();
-  switch (policy_) {
-    case AllocPolicy::kAllDram:
-    case AllocPolicy::kGraphNvram:
-      s.totals.dram_reads += words;
-      break;
-    case AllocPolicy::kAllNvram:
-      ChargeNvramRead(s, words, addr_hint);
-      break;
-    case AllocPolicy::kMemoryMode:
-      ChargeMemoryMode(s, words, addr_hint, /*is_write=*/false);
-      break;
+  SAGE_DCHECK(sink == Sink::kNvram);  // DRAM always routes fast
+  if (write) {
+    s.totals.nvram_writes += words;
+  } else {
+    ChargeNvramRead(s, words, addr_hint);
   }
-}
-
-void CostModel::ChargeWorkWrite(uint64_t words, uint64_t addr_hint) {
-  Shard& s = LocalShard();
-  switch (policy_) {
-    case AllocPolicy::kAllDram:
-    case AllocPolicy::kGraphNvram:
-      s.totals.dram_writes += words;
-      break;
-    case AllocPolicy::kAllNvram:
-      ChargeNvramWrite(s, words, addr_hint);
-      break;
-    case AllocPolicy::kMemoryMode:
-      ChargeMemoryMode(s, words, addr_hint, /*is_write=*/true);
-      break;
-  }
-}
-
-void CostModel::ChargePrefetchRead(uint64_t words) {
-  // Distinct attribution: never folded into nvram_reads - the advice
-  // thread is off the emulated critical path.
-  LocalShard().totals.nvram_prefetch_reads += words;
+  if (IsGraph(kind)) AttributeGraphShard(words, addr_hint, write);
 }
 
 CostTotals CostModel::Totals() const {

@@ -16,8 +16,9 @@
 // nvram::ExecutionContext (execution_context.h) owns one, so concurrent
 // engine runs account independently. Charging code reaches the *current*
 // model - the one belonging to the query the calling worker is executing -
-// through nvram::Cost(), which resolves the scheduler's task tag and falls
-// back to the process-wide default context outside any run.
+// through nvram::Cost() (execution_context.h), which resolves the
+// scheduler's task tag and falls back to the process-wide default context
+// outside any run.
 //
 // Without Optane DIMMs, accounting *is* the NVRAM: all experiments charge
 // accesses here and derive device behaviour from the config.
@@ -185,18 +186,58 @@ struct CostTotals {
   std::string ToJson() const;
 };
 
+class CostModel;
+
+/// Per-task sum of one model's fast-route charges. While a batch is open
+/// on a thread, every charge of its model that takes a fast route (see
+/// CostModel) adds to the batch instead of the model's counters; the batch
+/// adds its sums to the model once, when it closes. The PSAM counts words,
+/// not calls, so totals stay bit-identical. Charges of any other model -
+/// a job of another run executed here by help-while-waiting - and
+/// slow-route charges, whose effect depends on the hint or the order
+/// (MemoryMode, NUMA, per-shard attribution), bypass the batch. A batch
+/// opened while one of the same model is open stays inert, so nested
+/// primitives add nothing per call. Open one per task around loops where
+/// one charge covers one vertex (parallel_for_batched does exactly that).
+class ChargeBatch {
+ public:
+  explicit ChargeBatch(CostModel& model) : model_(&model), outer_(open_) {
+    if (outer_ == nullptr || outer_->model_ != model_) open_ = this;
+  }
+  ~ChargeBatch();
+  SAGE_DISALLOW_COPY_AND_ASSIGN(ChargeBatch);
+
+ private:
+  friend class CostModel;
+
+  /// The innermost active batch of the calling thread.
+  static inline constinit thread_local ChargeBatch* open_ = nullptr;
+
+  CostModel* const model_;
+  ChargeBatch* const outer_;
+  CostTotals sums_;
+};
+
 /// Cost model instance with per-thread sharded counters, one per
 /// ExecutionContext.
 ///
-/// Hot-path charging is a plain (non-atomic) add to a cache-line-padded
-/// per-thread slot (Scheduler::shard_id() gives every charging thread -
-/// pool worker or foreign driver - its own slot); Totals() sums the shards.
-/// Configuration setters are meant for single-threaded setup before the
-/// run starts charging; AlgorithmRegistry configures each run's model
-/// before publishing the context to the workers.
+/// Charging is routed once per configuration, not per call: every setter
+/// (and the constructor) decides, for each charge kind, whether its words
+/// always land in one CostTotals field. If they do, a charge is an inline
+/// plain (non-atomic) add of that field - into the open ChargeBatch of this
+/// model, else into the calling thread's cache-line-padded slot
+/// (Scheduler::shard_id() gives every charging thread - pool worker or
+/// foreign driver - its own slot); Totals() sums the slots. Only the
+/// hint-dependent cases take the out-of-line slow path, which runs the
+/// policy switch per call in call order: MemoryMode's cache simulation,
+/// NVRAM reads under a non-replicated layout with more than one socket,
+/// and graph charges binned per shard. Configuration setters are meant for
+/// single-threaded setup before the run starts charging;
+/// AlgorithmRegistry configures each run's model before publishing the
+/// context to the workers.
 class CostModel {
  public:
-  CostModel() = default;
+  CostModel() { Reroute(); }
   SAGE_DISALLOW_COPY_AND_ASSIGN(CostModel);
 
   /// Replaces the emulation config (not thread-safe vs. concurrent charging;
@@ -204,6 +245,7 @@ class CostModel {
   void SetConfig(const EmulationConfig& config) {
     config_ = config;
     EnsureMemoryModeTags();
+    Reroute();
   }
   const EmulationConfig& config() const { return config_; }
 
@@ -211,11 +253,15 @@ class CostModel {
   void SetAllocPolicy(AllocPolicy policy) {
     policy_ = policy;
     EnsureMemoryModeTags();
+    Reroute();
   }
   AllocPolicy alloc_policy() const { return policy_; }
 
   /// Sets the NUMA placement of the graph region.
-  void SetGraphLayout(GraphLayout layout) { graph_layout_ = layout; }
+  void SetGraphLayout(GraphLayout layout) {
+    graph_layout_ = layout;
+    Reroute();
+  }
   GraphLayout graph_layout() const { return graph_layout_; }
 
   /// Registers the edge-index shard boundaries of a multi-shard graph
@@ -237,6 +283,7 @@ class CostModel {
   /// AlgorithmRegistry from Graph::nvram_resident()).
   void SetGraphResidence(GraphResidence residence) {
     graph_residence_ = residence;
+    Reroute();
   }
   GraphResidence graph_residence() const { return graph_residence_; }
 
@@ -246,18 +293,26 @@ class CostModel {
   /// Charges `words` read from the graph region (NVRAM under kGraphNvram /
   /// kAllNvram; DRAM under kAllDram; cache-simulated under kMemoryMode).
   /// `addr_hint` feeds the MemoryMode cache simulator and the NUMA model.
-  void ChargeGraphRead(uint64_t words, uint64_t addr_hint = 0);
+  void ChargeGraphRead(uint64_t words, uint64_t addr_hint = 0) {
+    Charge(ChargeKind::kGraphRead, words, addr_hint);
+  }
 
   /// Charges `words` written to the graph region. Sage never calls this;
   /// only mutating baselines (PackedGraph) do.
-  void ChargeGraphWrite(uint64_t words, uint64_t addr_hint = 0);
+  void ChargeGraphWrite(uint64_t words, uint64_t addr_hint = 0) {
+    Charge(ChargeKind::kGraphWrite, words, addr_hint);
+  }
 
   /// Charges `words` read from mutable working memory (DRAM under
   /// kAllDram/kGraphNvram; NVRAM under kAllNvram; cached under kMemoryMode).
-  void ChargeWorkRead(uint64_t words, uint64_t addr_hint = 0);
+  void ChargeWorkRead(uint64_t words, uint64_t addr_hint = 0) {
+    Charge(ChargeKind::kWorkRead, words, addr_hint);
+  }
 
   /// Charges `words` written to mutable working memory.
-  void ChargeWorkWrite(uint64_t words, uint64_t addr_hint = 0);
+  void ChargeWorkWrite(uint64_t words, uint64_t addr_hint = 0) {
+    Charge(ChargeKind::kWorkWrite, words, addr_hint);
+  }
 
   /// Charges `words` of NVRAM read by the prefetch pipeline ahead of
   /// compute (graph/prefetch.h). Attributed distinctly - never folded into
@@ -265,7 +320,9 @@ class CostModel {
   /// the graph the pipeline pulled in without perturbing the PSAM
   /// accounting the parity tests pin down. No NUMA model: the background
   /// advice thread is not on the emulated critical path.
-  void ChargePrefetchRead(uint64_t words);
+  void ChargePrefetchRead(uint64_t words) {
+    Add(&CostTotals::nvram_prefetch_reads, words);
+  }
 
   /// Sums all shards.
   CostTotals Totals() const;
@@ -276,17 +333,60 @@ class CostModel {
   double EmulatedNanos(const CostTotals& t, int threads) const;
 
  private:
+  friend class ChargeBatch;
+
   struct alignas(kCacheLineBytes) Shard {
     CostTotals totals;
   };
 
-  Shard& LocalShard() {
-    int id = Scheduler::shard_id();
-    return shards_[id >= 0 && id < Scheduler::kMaxShards ? id : 0];
+  /// Bit 0: a write; bit 1: working memory rather than the graph region.
+  enum class ChargeKind : uint8_t {
+    kGraphRead = 0,
+    kGraphWrite = 1,
+    kWorkRead = 2,
+    kWorkWrite = 3,
+  };
+  static constexpr int kChargeKinds = 4;
+  static bool IsWrite(ChargeKind k) { return (static_cast<int>(k) & 1) != 0; }
+  static bool IsGraph(ChargeKind k) { return static_cast<int>(k) < 2; }
+
+  /// Which device a charge kind's words land on under the current policy
+  /// and graph residence.
+  enum class Sink : uint8_t { kDram, kNvram, kMemoryMode };
+
+  /// The one CostTotals field a fast-route charge adds to; nullptr routes
+  /// the kind to ChargeSlow.
+  using Route = uint64_t CostTotals::*;
+
+  void Charge(ChargeKind kind, uint64_t words, uint64_t addr_hint) {
+    const Route route = routes_[static_cast<int>(kind)];
+    if (SAGE_LIKELY(route != nullptr)) {
+      Add(route, words);
+    } else {
+      ChargeSlow(kind, words, addr_hint);
+    }
   }
 
+  void Add(Route route, uint64_t words) {
+    ChargeBatch* batch = ChargeBatch::open_;
+    CostTotals& t = batch != nullptr && batch->model_ == this
+                        ? batch->sums_
+                        : LocalShard().totals;
+    t.*route += words;
+  }
+
+  Shard& LocalShard() {
+    const int id = Scheduler::shard_id();
+    SAGE_DCHECK(id >= 0 && id < Scheduler::kMaxShards);
+    return shards_[id];
+  }
+
+  Sink SinkOf(ChargeKind kind) const;
+  /// Recomputes routes_ from the configuration; every setter calls it.
+  void Reroute();
+  /// The per-call path of the hint-dependent routes.
+  void ChargeSlow(ChargeKind kind, uint64_t words, uint64_t addr_hint);
   void ChargeNvramRead(Shard& s, uint64_t words, uint64_t addr_hint);
-  void ChargeNvramWrite(Shard& s, uint64_t words, uint64_t addr_hint);
   void ChargeMemoryMode(Shard& s, uint64_t words, uint64_t addr_hint,
                         bool is_write);
 
@@ -302,6 +402,7 @@ class CostModel {
   void EnsureMemoryModeTags();
 
   EmulationConfig config_;
+  Route routes_[kChargeKinds] = {};
   AllocPolicy policy_ = AllocPolicy::kGraphNvram;
   GraphLayout graph_layout_ = GraphLayout::kReplicated;
   GraphResidence graph_residence_ = GraphResidence::kPolicy;
@@ -321,22 +422,10 @@ class CostModel {
   Shard shards_[Scheduler::kMaxShards];
 };
 
-/// The cost model of the calling thread's current ExecutionContext: the
-/// per-run model inside an engine run (wherever its work is executing), the
-/// process-wide default context's model otherwise. Defined in
-/// execution_context.cc.
-CostModel& Cost();
-
-/// RAII scope over the *current* context's counters, exposing the delta
-/// charged since construction.
-class CostScope {
- public:
-  CostScope() { start_ = Cost().Totals(); }
-  /// Accesses charged since construction.
-  CostTotals Delta() const { return Cost().Totals() - start_; }
-
- private:
-  CostTotals start_;
-};
+inline ChargeBatch::~ChargeBatch() {
+  if (open_ != this) return;  // inert: an outer batch of model_ sums
+  open_ = outer_;
+  model_->LocalShard().totals += sums_;
+}
 
 }  // namespace sage::nvram

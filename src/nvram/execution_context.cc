@@ -2,25 +2,6 @@
 
 namespace sage::nvram {
 
-ExecutionContext* ExecutionContext::CurrentOrNull() {
-  return static_cast<ExecutionContext*>(Scheduler::task_tag());
-}
-
-ExecutionContext& ExecutionContext::Current() {
-  ExecutionContext* bound = CurrentOrNull();
-  return bound != nullptr ? *bound : Default();
-}
-
-ExecutionContext& ExecutionContext::Default() {
-  // Leaked singleton: charging may happen from detached threads during
-  // process teardown, after function-local statics would have been
-  // destroyed.
-  static ExecutionContext* context = new ExecutionContext();
-  return *context;
-}
-
-CostModel& Cost() { return ExecutionContext::Current().cost_model(); }
-
 MemoryTracker& Memory() { return ExecutionContext::Current().memory_tracker(); }
 
 }  // namespace sage::nvram

@@ -21,6 +21,12 @@
 //     nvram::Memory().Allocate(bytes);              // counters, wherever
 //                                                   // this thread is
 //
+// Cost() is inline: one thread-local load of the tag and a null compare
+// (outside a run, a guarded load of the default context).
+// The model it returns has already decided each charge kind's route (see
+// CostModel), so a charge on the common DRAM/NVRAM routes is a handful of
+// inline instructions with no call.
+//
 // Outside any run - unit tests charging directly, benchmark phases,
 // examples - Current() falls back to Default(), a process-wide context
 // with the paper's configuration. Runs inherit Default()'s device state
@@ -68,15 +74,26 @@ class ExecutionContext {
 
   /// The context the calling thread is executing under: the bound context
   /// of the task this worker is running, else Default().
-  static ExecutionContext& Current();
+  static ExecutionContext& Current() {
+    ExecutionContext* bound = CurrentOrNull();
+    return SAGE_LIKELY(bound != nullptr) ? *bound : Default();
+  }
 
   /// The bound context, or nullptr when the thread is outside any run.
-  static ExecutionContext* CurrentOrNull();
+  static ExecutionContext* CurrentOrNull() {
+    return static_cast<ExecutionContext*>(Scheduler::task_tag());
+  }
 
   /// Process-wide fallback context. Tests, benchmarks, and examples that
   /// charge outside an engine run account here; engine runs inherit its
   /// device state but never write back to it.
-  static ExecutionContext& Default();
+  static ExecutionContext& Default() {
+    // Leaked singleton: charging may happen from detached threads during
+    // process teardown, after function-local statics would have been
+    // destroyed.
+    static ExecutionContext* const context = new ExecutionContext();
+    return *context;
+  }
 
   /// Arms cooperative interruption for this run: an optional cancel token,
   /// an optional absolute deadline (steady clock; time_point::max() means
@@ -117,6 +134,23 @@ class ExecutionContext {
       std::chrono::steady_clock::time_point::max();
   std::thread::id root_thread_;
   bool interruptible_ = false;
+};
+
+/// The cost model of the calling thread's current ExecutionContext: the
+/// per-run model inside an engine run (wherever its work is executing), the
+/// process-wide default context's model otherwise.
+inline CostModel& Cost() { return ExecutionContext::Current().cost_model(); }
+
+/// RAII scope over the *current* context's counters, exposing the delta
+/// charged since construction.
+class CostScope {
+ public:
+  CostScope() { start_ = Cost().Totals(); }
+  /// Accesses charged since construction.
+  CostTotals Delta() const { return Cost().Totals() - start_; }
+
+ private:
+  CostTotals start_;
 };
 
 /// RAII binding of an ExecutionContext to the calling thread (and, through

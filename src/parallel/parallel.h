@@ -29,16 +29,16 @@ inline void par_do(L&& left, R&& right) {
 
 namespace internal {
 
-template <typename F>
+template <typename B>
 void ParForRecurse(Scheduler& sched, size_t lo, size_t hi, size_t grain,
-                   const F& f) {
+                   const B& body) {
   if (hi - lo <= grain) {
-    for (size_t i = lo; i < hi; ++i) f(i);
+    body(lo, hi);
     return;
   }
   size_t mid = lo + (hi - lo) / 2;
-  sched.ParDo([&] { ParForRecurse(sched, lo, mid, grain, f); },
-              [&] { ParForRecurse(sched, mid, hi, grain, f); });
+  sched.ParDo([&] { ParForRecurse(sched, lo, mid, grain, body); },
+              [&] { ParForRecurse(sched, mid, hi, grain, body); });
 }
 
 inline size_t DefaultGranularity(size_t n, int workers) {
@@ -58,27 +58,42 @@ inline size_t DefaultGranularity(size_t n, int workers) {
 
 }  // namespace internal
 
-/// Applies f(i) for i in [start, end) in parallel. `granularity` is the
-/// largest range executed sequentially by one task; 0 picks a default based
-/// on range size and worker count.
-template <typename F>
-inline void parallel_for(size_t start, size_t end, const F& f,
-                         size_t granularity = 0) {
+/// Splits [start, end) into disjoint ranges and applies body(lo, hi) to
+/// each, in parallel; every call is one task that runs sequentially.
+/// `granularity` is the longest range; 0 picks a default based on range
+/// size and worker count. One worker runs the whole range as one call.
+template <typename B>
+inline void parallel_for_ranges(size_t start, size_t end, const B& body,
+                                size_t granularity = 0) {
   if (start >= end) return;
   size_t n = end - start;
   Scheduler& sched = Scheduler::Get();
   if (sched.num_workers() == 1) {
-    for (size_t i = start; i < end; ++i) f(i);
+    body(start, end);
     return;
   }
   size_t grain = granularity == 0
                      ? internal::DefaultGranularity(n, sched.num_workers())
                      : granularity;
   if (n <= grain) {
-    for (size_t i = start; i < end; ++i) f(i);
+    body(start, end);
     return;
   }
-  internal::ParForRecurse(sched, start, end, grain, f);
+  internal::ParForRecurse(sched, start, end, grain, body);
+}
+
+/// Applies f(i) for i in [start, end) in parallel. `granularity` is the
+/// largest range executed sequentially by one task; 0 picks a default based
+/// on range size and worker count.
+template <typename F>
+inline void parallel_for(size_t start, size_t end, const F& f,
+                         size_t granularity = 0) {
+  parallel_for_ranges(
+      start, end,
+      [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) f(i);
+      },
+      granularity);
 }
 
 }  // namespace sage

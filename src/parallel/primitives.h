@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "parallel/parallel.h"
 
 namespace sage {
@@ -58,6 +58,22 @@ T ScanBlockPartials(std::vector<T>& partial, const Op& op, T id) {
 
 }  // namespace internal
 
+/// parallel_for whose every task sums the current model's fast-route
+/// charges in one nvram::ChargeBatch and adds them once when it ends. For
+/// loops where one charge covers one vertex; the totals equal
+/// parallel_for's.
+template <typename F>
+void parallel_for_batched(size_t start, size_t end, const F& f,
+                          size_t granularity = 0) {
+  parallel_for_ranges(
+      start, end,
+      [&](size_t lo, size_t hi) {
+        nvram::ChargeBatch batch(nvram::Cost());
+        for (size_t i = lo; i < hi; ++i) f(i);
+      },
+      granularity);
+}
+
 /// Builds a vector of length n with a[i] = f(i), in parallel.
 template <typename T, typename F>
 std::vector<T> tabulate(size_t n, const F& f) {
@@ -81,7 +97,9 @@ T reduce(size_t n, const F& f, const Op& op, T id) {
     return acc;
   }
   std::vector<T> partial(nb, id);
-  parallel_for(
+  // Callbacks often charge per element (a frontier's degree sum), so each
+  // block sums its charges in one batch.
+  parallel_for_batched(
       0, nb,
       [&](size_t b) {
         size_t lo = b * block, hi = std::min(n, lo + block);

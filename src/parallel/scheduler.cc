@@ -6,10 +6,6 @@
 
 namespace sage {
 
-thread_local int Scheduler::worker_id_ = 0;
-thread_local int Scheduler::shard_id_ = -1;
-thread_local void* Scheduler::task_tag_ = nullptr;
-
 namespace {
 
 // Lease pool for foreign shard slots: slots are handed out from

@@ -76,7 +76,7 @@ class Scheduler {
   /// the kForeignSlots - 1 unique leases are exhausted and overflow
   /// threads alias the top slot, far beyond any realistic driver fan-out).
   static int shard_id() {
-    if (shard_id_ < 0) shard_id_ = AcquireForeignSlot();
+    if (SAGE_UNLIKELY(shard_id_ < 0)) shard_id_ = AcquireForeignSlot();
     return shard_id_;
   }
 
@@ -163,9 +163,11 @@ class Scheduler {
   /// the lease is returned automatically at thread exit.
   static int AcquireForeignSlot();
 
-  static thread_local int worker_id_;
-  static thread_local int shard_id_;
-  static thread_local void* task_tag_;
+  // Constant-initialized and defined here, so every translation unit
+  // reads them as plain thread-local loads (no TLS wrapper call).
+  static inline constinit thread_local int worker_id_ = 0;
+  static inline constinit thread_local int shard_id_ = -1;
+  static inline constinit thread_local void* task_tag_ = nullptr;
 
   int num_workers_;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;

@@ -1,8 +1,11 @@
 // Tests for the PSAM cost model, allocation policies, MemoryMode cache
-// simulation, NUMA layouts, and the memory tracker.
+// simulation, NUMA layouts, charge routes and batches, and the memory
+// tracker.
+#include <new>
+
 #include <gtest/gtest.h>
 
-#include "nvram/cost_model.h"
+#include "nvram/execution_context.h"
 #include "nvram/memory_tracker.h"
 #include "parallel/parallel.h"
 
@@ -141,6 +144,107 @@ TEST_F(CostModelTest, ShardedCountersSumAcrossThreads) {
   cm.ResetCounters();
   parallel_for(0, 1000, [&](size_t) { cm.ChargeGraphRead(1); }, 1);
   EXPECT_EQ(cm.Totals().nvram_reads, 1000u);
+}
+
+// Charge routes and batches. Each model decides its routes in its setters
+// and constructor, and a batch sums only the charges of the model that
+// opened it; these pin both against any per-thread caching that could go
+// stale. Deterministic, and run under TSan (ChargeRoute is in the CI
+// thread lane's -R list).
+TEST(ChargeRoute, BatchSumsOnlyTheModelThatOpenedIt) {
+  ExecutionContext a, b;
+  ScopedExecutionContext bind_a(a);
+  {
+    ChargeBatch batch(Cost());
+    Cost().ChargeWorkRead(3);
+    {
+      ScopedExecutionContext bind_b(b);
+      Cost().ChargeWorkRead(5);
+      Cost().ChargeGraphRead(7);
+    }
+    // B's words land at once and in B; A's wait for the batch to close.
+    EXPECT_EQ(b.cost_model().Totals().dram_reads, 5u);
+    EXPECT_EQ(b.cost_model().Totals().nvram_reads, 7u);
+    EXPECT_EQ(a.cost_model().Totals().dram_reads, 0u);
+    {
+      ChargeBatch nested(Cost());  // same model: inert
+      Cost().ChargeWorkWrite(2);
+    }
+    EXPECT_EQ(a.cost_model().Totals().dram_writes, 0u);
+  }
+  const CostTotals ta = a.cost_model().Totals();
+  EXPECT_EQ(ta.dram_reads, 3u);
+  EXPECT_EQ(ta.dram_writes, 2u);
+  EXPECT_EQ(ta.nvram_reads, 0u);
+  const CostTotals tb = b.cost_model().Totals();
+  EXPECT_EQ(tb.dram_reads, 5u);
+  EXPECT_EQ(tb.nvram_reads, 7u);
+  EXPECT_EQ(tb.dram_writes, 0u);
+}
+
+TEST(ChargeRoute, SetterBetweenChargesReroutesTheNextCharge) {
+  ExecutionContext ctx;
+  ScopedExecutionContext bind(ctx);
+  CostModel& cm = ctx.cost_model();
+  Cost().ChargeGraphRead(4);
+  EXPECT_EQ(cm.Totals().nvram_reads, 4u);
+  cm.SetAllocPolicy(AllocPolicy::kAllDram);
+  Cost().ChargeGraphRead(4);
+  EXPECT_EQ(cm.Totals().nvram_reads, 4u);
+  EXPECT_EQ(cm.Totals().dram_reads, 4u);
+  cm.SetGraphResidence(GraphResidence::kMappedNvram);
+  Cost().ChargeGraphRead(4);
+  EXPECT_EQ(cm.Totals().nvram_reads, 8u);
+  // An interleaved layout charges remote reads per call: line 1 lives on
+  // socket 1, the main thread on socket 0.
+  const uint64_t line1 = cm.config().memory_mode_line_words;
+  cm.SetGraphLayout(GraphLayout::kInterleaved);
+  Cost().ChargeGraphRead(2, line1);
+  EXPECT_EQ(cm.Totals().remote_nvram_accesses, 2u);
+  cm.SetGraphLayout(GraphLayout::kReplicated);
+  Cost().ChargeGraphRead(2, line1);
+  EXPECT_EQ(cm.Totals().remote_nvram_accesses, 2u);
+  EXPECT_EQ(cm.Totals().nvram_reads, 12u);
+  // Shard attribution bins per call; turning it off routes fast again.
+  const uint64_t starts[] = {0, 10, 20};
+  cm.SetGraphShards(starts);
+  Cost().ChargeGraphRead(5, 15);
+  ASSERT_EQ(cm.ShardTotals().size(), 2u);
+  EXPECT_EQ(cm.ShardTotals()[1].nvram_reads, 5u);
+  cm.SetGraphShards({});
+  Cost().ChargeGraphRead(5, 15);
+  EXPECT_TRUE(cm.ShardTotals().empty());
+  EXPECT_EQ(cm.Totals().nvram_reads, 22u);
+  cm.SetAllocPolicy(AllocPolicy::kMemoryMode);
+  Cost().ChargeWorkWrite(1);
+  EXPECT_EQ(cm.Totals().memory_mode_misses, 1u);
+  EXPECT_EQ(cm.Totals().nvram_writes, 1u);
+}
+
+TEST(ChargeRoute, ModelBuiltWhereOneDiedStartsFromItsOwnDefaultRoute) {
+  alignas(ExecutionContext) unsigned char storage[sizeof(ExecutionContext)];
+  // Charged from every worker, so a route remembered by any thread for
+  // this address would show.
+  auto charge_everywhere = [] {
+    parallel_for(0, 64, [](size_t) { Cost().ChargeGraphRead(1); }, 1);
+  };
+  auto* first = new (storage) ExecutionContext();
+  first->cost_model().SetAllocPolicy(AllocPolicy::kAllDram);
+  {
+    ScopedExecutionContext bind(*first);
+    charge_everywhere();
+  }
+  EXPECT_EQ(first->cost_model().Totals().dram_reads, 64u);
+  first->~ExecutionContext();
+  auto* second = new (storage) ExecutionContext();
+  ASSERT_EQ(static_cast<void*>(second), static_cast<void*>(first));
+  {
+    ScopedExecutionContext bind(*second);
+    charge_everywhere();
+  }
+  EXPECT_EQ(second->cost_model().Totals().nvram_reads, 64u);
+  EXPECT_EQ(second->cost_model().Totals().dram_reads, 0u);
+  second->~ExecutionContext();
 }
 
 TEST(MemoryTracker, TracksCurrentAndPeak) {
