@@ -125,7 +125,7 @@ SAGE_BENCHMARK(load_binary,
         storage->CountResidentPages(0, storage->MappingBytes()));
 
     RunContext rctx;
-    rctx.prefetch.enabled = prefetch_on;
+    rctx.prefetch = prefetch_on;
     Timer t;
     auto run = AlgorithmRegistry::Run("bfs", cg, rctx);
     SAGE_CHECK_MSG(run.ok(), "%s", run.status().ToString().c_str());

@@ -39,7 +39,7 @@ void RemoveShardedFiles(const std::string& manifest, uint32_t shards) {
 /// totals, so the measured rows are unaffected.
 double ReadBalance(const Graph& g, const Graph& weighted,
                    const RunContext& rctx) {
-  auto run = AlgorithmRegistry::Run("bfs", g, weighted, rctx, RunParams{});
+  auto run = AlgorithmRegistry::Run("bfs", g, rctx, RunParams{}, &weighted);
   SAGE_CHECK_MSG(run.ok(), "%s", run.status().ToString().c_str());
   const RunReport& report = run.ValueOrDie();
   uint64_t max_reads = 0, sum_reads = 0;

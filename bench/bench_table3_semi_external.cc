@@ -77,7 +77,7 @@ SAGE_BENCHMARK(table3_semi_external,
     SAGE_CHECK_MSG(evicted.ok(), "%s", evicted.ToString().c_str());
 
     RunContext rctx;
-    rctx.prefetch.enabled = prefetch_on;
+    rctx.prefetch = prefetch_on;
     Timer t;
     auto run = AlgorithmRegistry::Run("bfs", cg, rctx);
     SAGE_CHECK_MSG(run.ok(), "%s", run.status().ToString().c_str());

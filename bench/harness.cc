@@ -206,7 +206,7 @@ BenchRecord BenchContext::MeasureAlgorithm(std::string label,
   std::vector<double> samples;
   samples.reserve(static_cast<size_t>(repetitions_));
   for (int rep = 0; rep < warmup_ + repetitions_; ++rep) {
-    auto run = AlgorithmRegistry::Run(algorithm, g, weighted, rctx, params);
+    auto run = AlgorithmRegistry::Run(algorithm, g, rctx, params, &weighted);
     SAGE_CHECK_MSG(run.ok(), "%s: %s", algorithm.c_str(),
                    run.status().ToString().c_str());
     if (rep < warmup_) continue;

@@ -12,10 +12,9 @@
 # catch the interleaving at runtime.
 #
 # Policy for new code (see README "Static analysis"):
-#   - Protect data with sage::Mutex / sage::SharedMutex and annotate the
-#     data SAGE_GUARDED_BY(mu).
-#   - Lock with sage::MutexLock / Reader-/WriterMutexLock, never bare
-#     lock()/unlock() pairs.
+#   - Protect data with sage::Mutex and annotate the data
+#     SAGE_GUARDED_BY(mu).
+#   - Lock with sage::MutexLock, never bare lock()/unlock() pairs.
 #   - Condition-variable waits whose predicate reads guarded state use a
 #     manual `while (!pred) cv.Wait(lock);` loop, not the predicate-lambda
 #     overload (the analysis checks lambda bodies without the caller's

@@ -175,12 +175,12 @@ int main(int argc, char** argv) {
   }
   ctx.policy = policy.ValueOrDie();
   ctx.omega = cmd.GetDouble("omega", ctx.omega);
-  ctx.num_threads = static_cast<int>(cmd.GetInt("threads", 0));
   // Page-frontier prefetching; only effective with a mapped .bsadj graph.
-  ctx.prefetch.enabled = cmd.Has("prefetch");
-  // Apply the thread budget before loading so generation/building honor it
-  // too (the run itself would apply it, but only after the graph exists).
-  if (ctx.num_threads > 0) Scheduler::Reset(ctx.num_threads);
+  ctx.prefetch = cmd.Has("prefetch");
+  // The scheduler's width is process setup: apply it before loading, so
+  // generation and building run at it too, and before any run starts.
+  const int threads = static_cast<int>(cmd.GetInt("threads", 0));
+  if (threads > 0) Scheduler::Reset(threads);
 
   // Load through Engine::FromFile when reading a file so a mapped .bsadj
   // image's path is remembered and -compact can rewrite it in place.

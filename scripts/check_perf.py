@@ -20,6 +20,11 @@ committed baseline — normally bench/baselines/smoke.json — and fails when:
     absorbs the scheduling noise of multi-threaded rows (pass
     --counter-tolerance 0 for the strict gate).
 
+A counter of a comparable record that falls more than 10% below the
+baseline does not fail the gate, but it prints a warning: the gate only
+fails rises, so a baseline left above the code it gates would let a real
+regression back up to the stale figure pass unnoticed.
+
 Records are matched by (benchmark, label, config, threads, graph n/m).
 Records present on only one side are reported as warnings — thread-width
 sweeps legitimately differ across machines — but zero overlap is an error
@@ -42,6 +47,8 @@ COUNTER_GATES = ("psam_cost", "nvram_reads", "nvram_writes")
 # Absolute slack (words) added on top of the relative counter tolerance so
 # tiny baselines (hundreds of words) don't fail on one extra chunk refill.
 COUNTER_ABS_SLACK = 1024
+# A fresh counter this far below its baseline means the baseline is stale.
+STALE_COUNTER_DROP = 0.10
 
 
 def record_key(rec):
@@ -211,6 +218,19 @@ def compare(fresh_doc, base_doc, *, wall_tolerance=0.25,
                         f"{name}: {gate} {f_counters[gate]:.0f} vs baseline "
                         f"{b_counters[gate]:.0f} (allowed {allowed:.0f})"
                     )
+            dropped = [
+                f"{gate} {f_counters[gate]:.0f} vs {b_counters[gate]:.0f}"
+                for gate in COUNTER_GATES
+                if f_counters[gate]
+                < b_counters[gate] * (1.0 - STALE_COUNTER_DROP)
+            ]
+            if dropped:
+                warnings.append(
+                    f"{name}: counters more than "
+                    f"{100.0 * STALE_COUNTER_DROP:.0f}% below the baseline "
+                    f"({', '.join(dropped)}) — stale baseline? refresh it "
+                    f"with scripts/run_bench.sh --baseline"
+                )
 
     checked = {"wall": wall_checked, "counters": counters_checked,
                "latency": latency_checked}
@@ -343,6 +363,17 @@ def self_test():
         make_doc([make_record(nvram_reads=1_010_000)]), base,
         counter_tolerance=0.0)
     check("+1% nvram_reads fails the strict gate", not ok)
+
+    ok, _, warns, _ = compare(
+        make_doc([make_record(nvram_reads=850_000)]), base)
+    check("counter >10% below baseline warns, still passes",
+          ok and any("stale baseline" in w and "nvram_reads" in w
+                     for w in warns))
+
+    ok, _, warns, _ = compare(
+        make_doc([make_record(nvram_reads=950_000)]), base)
+    check("counter 5% below baseline does not warn",
+          ok and not any("stale baseline" in w for w in warns))
 
     stat_base = make_doc([make_record(with_counters=False)])
     ok, _, _, checked = compare(

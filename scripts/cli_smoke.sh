@@ -23,6 +23,12 @@
 #                                             misses, tiny -deadline-ms fails
 #                                             DeadlineExceeded, -tenant/-stats
 #                                             render the stats JSON
+#   cli_smoke.sh <sage_cli> --prefetch        prefetch leg: bfs on a mapped
+#                                             .bsadj at -threads 2, with and
+#                                             without -prefetch: both report
+#                                             the width, the -prefetch run its
+#                                             pipeline and waves, and both the
+#                                             same summary and psam_cost
 #   cli_smoke.sh <sage_cli> --unknown-flag    a misspelled flag exits nonzero
 #                                             and is named on stderr
 set -u
@@ -228,6 +234,51 @@ case $MODE in
       }
     done
     [ $fail = 0 ] && echo "ok serve: tenant + stats surface"
+    exit $fail
+    ;;
+  --prefetch)
+    tmp=$(mktemp -d) || { echo "FAIL: mktemp"; exit 1; }
+    trap 'rm -rf "$tmp"' EXIT
+    "$CLI" -gen rmat -logn 10 -edges 8000 -convert "$tmp/g.bsadj" \
+      >/dev/null || {
+      echo "FAIL: -convert to binary exited nonzero"; exit 1;
+    }
+    common="-algo bfs -graph $tmp/g.bsadj -src 1 -threads 2 -json"
+    off=$("$CLI" $common) || {
+      echo "FAIL prefetch: run without -prefetch exited nonzero"; exit 1;
+    }
+    on=$("$CLI" $common -prefetch) || {
+      echo "FAIL prefetch: -prefetch run exited nonzero"; exit 1;
+    }
+    fail=0
+    # -threads sets the scheduler's width once, before the graph loads.
+    for out in "$off" "$on"; do
+      printf '%s\n' "$out" | grep -q '"threads": 2,' || {
+        echo "FAIL prefetch: a run does not report \"threads\": 2"; fail=1;
+      }
+    done
+    printf '%s\n' "$off" | grep -q '"prefetch_enabled": false' || {
+      echo "FAIL prefetch: the run without -prefetch reports a pipeline"
+      fail=1
+    }
+    printf '%s\n' "$on" | grep -q '"prefetch_enabled": true' || {
+      echo "FAIL prefetch: the -prefetch run reports no pipeline"; fail=1;
+    }
+    waves=$(printf '%s\n' "$on" |
+            sed -n 's/.*"prefetch_waves": \([0-9]*\).*/\1/p')
+    [ "${waves:-0}" -gt 0 ] || {
+      echo "FAIL prefetch: the -prefetch run enqueued no waves"; fail=1;
+    }
+    # Prefetch is off the PSAM critical path: the answer and the modeled
+    # cost must not move.
+    comparable() { printf '%s\n' "$1" | grep -E '"summary"|"psam_cost"'; }
+    if [ "$(comparable "$off")" != "$(comparable "$on")" ]; then
+      echo "FAIL prefetch: runs with and without -prefetch diverge"
+      echo "--- off ---"; comparable "$off"
+      echo "--- on ---";  comparable "$on"
+      fail=1
+    fi
+    [ $fail = 0 ] && echo "ok prefetch: waves=$waves, same summary and cost"
     exit $fail
     ;;
   --unknown-flag)

@@ -238,11 +238,7 @@ class Engine {
       return CompactionStats{s.epochs->current_epoch(), s.base.num_edges(),
                              false};
     }
-    Graph merged;
-    {
-      internal::SchedulerWidthGuard width_guard;
-      merged = FlattenOverlay(MakeOverlayGraph(s.base, s.overlay));
-    }
+    Graph merged = FlattenOverlay(MakeOverlayGraph(s.base, s.overlay));
     CompactionStats stats;
     if (!s.image_path.empty()) {
       const std::string tmp = s.image_path + ".compact.tmp";
@@ -282,7 +278,7 @@ class Engine {
   /// Updates appended but not yet group-committed into an epoch.
   uint64_t pending_updates() const { return state_->delta_log.pending(); }
 
-  /// The epoch manager (retire callbacks / live-epoch introspection for
+  /// The epoch manager (retire listeners / live-epoch introspection for
   /// tests and monitoring).
   EpochManager& epochs() { return *state_->epochs; }
 
@@ -357,14 +353,9 @@ class Engine {
     uint64_t last = s.applied_seq;
     std::vector<EdgeUpdate> batch = s.delta_log.Drain(&last);
     if (batch.empty()) return uint64_t{0};
-    {
-      // The parallel merge must not race a width-changing run's pool
-      // rebuild.
-      internal::SchedulerWidthGuard width_guard;
-      auto next = ApplyUpdateBatch(s.base, s.overlay, batch);
-      if (!next.ok()) return next.status();  // unreachable: ids validated
-      s.overlay = next.TakeValue();
-    }
+    auto next = ApplyUpdateBatch(s.base, s.overlay, batch);
+    if (!next.ok()) return next.status();  // unreachable: ids validated
+    s.overlay = next.TakeValue();
     s.applied_seq = last;
     s.epochs->Advance(MakeOverlayGraph(s.base, s.overlay),
                       s.overlay->delta_edges());

@@ -11,8 +11,6 @@ namespace sage {
 
 namespace {
 
-constexpr const char* kDefaultTenant = "default";
-
 double SecondsSince(std::chrono::steady_clock::time_point start,
                     std::chrono::steady_clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
@@ -61,19 +59,6 @@ QueryService::QueryService(const Graph& graph, Options options)
 
 QueryService::~QueryService() { Shutdown(); }
 
-std::future<Result<RunReport>> QueryService::Submit(std::string algorithm,
-                                                    RunContext ctx,
-                                                    RunParams params) {
-  return Submit(std::move(algorithm), ctx, params, snapshot_, kDefaultTenant);
-}
-
-std::future<Result<RunReport>> QueryService::Submit(
-    std::string algorithm, RunContext ctx, RunParams params,
-    std::shared_ptr<const GraphSnapshot> snapshot) {
-  return Submit(std::move(algorithm), ctx, params, std::move(snapshot),
-                kDefaultTenant);
-}
-
 std::future<Result<RunReport>> QueryService::Submit(
     std::string algorithm, RunContext ctx, RunParams params,
     std::shared_ptr<const GraphSnapshot> snapshot,
@@ -85,17 +70,6 @@ std::future<Result<RunReport>> QueryService::Submit(
   request.snapshot = snapshot != nullptr ? std::move(snapshot) : snapshot_;
   request.submit_time = std::chrono::steady_clock::now();
   std::future<Result<RunReport>> future = request.promise.get_future();
-
-  // Stamp the absolute deadline now so queue wait counts against it; the
-  // registry and the dequeue check both honor the stamped value.
-  if (request.ctx.deadline_ms > 0 &&
-      request.ctx.absolute_deadline ==
-          std::chrono::steady_clock::time_point::max()) {
-    request.ctx.absolute_deadline =
-        request.submit_time +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(request.ctx.deadline_ms));
-  }
 
   // Cache front: a hit completes the future right here - no admission, no
   // queue slot, no session. The key pins the snapshot epoch, so a query
@@ -329,24 +303,23 @@ void QueryService::SessionLoop() {
     bool have_result = true;
     Result<RunReport> result = Status::Internal("unset");
     try {
+      // Queue wait and run share one deadline budget: spend the wait here,
+      // and the registry starts the clock on what remains.
+      const double queue_seconds =
+          SecondsSince(request.submit_time, std::chrono::steady_clock::now());
+      const bool has_deadline = request.ctx.deadline_ms > 0;
+      if (has_deadline) request.ctx.deadline_ms -= 1e3 * queue_seconds;
       if (request.ctx.cancel != nullptr && request.ctx.cancel->cancelled()) {
         result = Status::Cancelled(request.algorithm +
                                    ": cancelled while queued");
-      } else if (request.ctx.absolute_deadline !=
-                     std::chrono::steady_clock::time_point::max() &&
-                 std::chrono::steady_clock::now() >=
-                     request.ctx.absolute_deadline) {
-        // Prompt miss: the deadline burned out in the queue, so the run
+      } else if (has_deadline && request.ctx.deadline_ms <= 0) {
+        // Prompt miss: the budget burned out in the queue, so the run
         // never starts.
         result = Status::DeadlineExceeded(request.algorithm +
                                           ": deadline expired while queued");
       } else {
-        const auto exec_start = std::chrono::steady_clock::now();
         result = Execute(request);
-        if (result.ok()) {
-          result.ValueOrDie().queue_seconds =
-              SecondsSince(request.submit_time, exec_start);
-        }
+        if (result.ok()) result.ValueOrDie().queue_seconds = queue_seconds;
       }
     } catch (...) {
       have_result = false;
@@ -412,17 +385,11 @@ Result<RunReport> QueryService::Execute(Request& request) {
   const AlgorithmInfo* info = AlgorithmRegistry::Get().Find(request.algorithm);
   std::shared_ptr<const Graph> weighted;
   if (info != nullptr && info->needs_weights && !snapshot.graph.weighted()) {
-    // The view's first build runs parallel work on the shared pool; the
-    // guard is released before Run takes the width lock itself.
-    internal::SchedulerWidthGuard width_guard;
     weighted = snapshot.WeightedView(request.params.weight_seed);
   }
   Result<RunReport> run =
-      weighted != nullptr
-          ? AlgorithmRegistry::Run(request.algorithm, snapshot.graph,
-                                   *weighted, request.ctx, request.params)
-          : AlgorithmRegistry::Run(request.algorithm, snapshot.graph,
-                                   request.ctx, request.params);
+      AlgorithmRegistry::Run(request.algorithm, snapshot.graph, request.ctx,
+                             request.params, weighted.get());
   if (run.ok()) {
     run.ValueOrDie().graph_epoch = snapshot.epoch;
     run.ValueOrDie().delta_edges = snapshot.delta_edges;

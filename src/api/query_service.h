@@ -31,10 +31,12 @@
 //     first; FIFO within a priority). Unregistered tenant names get the
 //     default config: unlimited, priority 0, blocking backpressure -
 //     exactly the pre-tenant semantics.
-//   - Deadlines/cancellation: RunContext::deadline_ms is stamped into an
-//     absolute deadline at Submit (queue wait counts against it), checked
-//     at dequeue and at every edgeMap round boundary; expired runs
-//     surface Status DeadlineExceeded, cancelled ones Cancelled.
+//   - Deadlines/cancellation: RunContext::deadline_ms is one budget for
+//     queue wait and run. At dequeue the session subtracts the queue wait
+//     from it and rejects a request whose budget is used up without
+//     running it; the registry starts the clock on what remains and checks
+//     it at every edgeMap round boundary. Expired runs surface Status
+//     DeadlineExceeded, cancelled ones Cancelled.
 //   - Latency histograms: lock-free log-bucketed end-to-end latency
 //     (submit to completion), global and per tenant, surfaced as
 //     p50/p95/p99 in StatsJson(). Only queries that produced a report
@@ -48,8 +50,8 @@
 //   - The service pins its own epoch-0 snapshot of the graph it is built
 //     over (Graph copies share their storage), so the caller's Graph
 //     object need not outlive it.
-//   - Submitted RunContexts should leave num_threads at 0: resizing the
-//     shared scheduler serializes against every in-flight run.
+//   - The scheduler's width is process setup: call Scheduler::Reset only
+//     while no query is in flight.
 //   - Shutdown() (and the destructor) stops accepting work, drains queued
 //     queries, and joins the sessions; futures for drained queries still
 //     complete.
@@ -130,31 +132,21 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Enqueues one query on the service's own epoch-0 snapshot under the
-  /// default tenant; returns a future that completes when a session has
-  /// executed it (or immediately, on a cache hit). Blocks while the queue
-  /// is at capacity. After Shutdown() the future completes immediately
-  /// with an Internal error.
-  std::future<Result<RunReport>> Submit(std::string algorithm, RunContext ctx,
-                                        RunParams params = RunParams{})
-      SAGE_EXCLUDES(mu_);
-
-  /// As above, but the query executes on `snapshot` (nullptr = the
-  /// service's own), and its report is stamped with the snapshot's epoch
-  /// and delta count. The snapshot stays pinned (its epoch cannot retire)
-  /// until the query completes - Engine::Submit routes every query through
-  /// here so in-flight runs keep a consistent view across concurrent
-  /// ApplyUpdates / Compact calls.
+  /// Enqueues one query under `tenant`'s admission quota, concurrency cap,
+  /// and priority, and returns a future that completes when a session has
+  /// executed it (or immediately, on a cache hit). The query executes on
+  /// `snapshot` (nullptr = the service's own epoch-0 snapshot), and its
+  /// report is stamped with the snapshot's epoch and delta count. The
+  /// snapshot stays pinned (its epoch cannot retire) until the query
+  /// completes - Engine::Submit passes the current epoch's, so in-flight
+  /// runs keep a consistent view across concurrent ApplyUpdates / Compact
+  /// calls. Default-config tenants block while the queue is at capacity.
+  /// After Shutdown() the future completes immediately with an Internal
+  /// error.
   std::future<Result<RunReport>> Submit(
-      std::string algorithm, RunContext ctx, RunParams params,
-      std::shared_ptr<const GraphSnapshot> snapshot) SAGE_EXCLUDES(mu_);
-
-  /// Full-surface Submit: as above, under the named tenant's admission
-  /// quota, concurrency cap, and priority.
-  std::future<Result<RunReport>> Submit(
-      std::string algorithm, RunContext ctx, RunParams params,
-      std::shared_ptr<const GraphSnapshot> snapshot, const std::string& tenant)
-      SAGE_EXCLUDES(mu_);
+      std::string algorithm, RunContext ctx, RunParams params = RunParams{},
+      std::shared_ptr<const GraphSnapshot> snapshot = nullptr,
+      const std::string& tenant = "default") SAGE_EXCLUDES(mu_);
 
   /// Registers (or reconfigures) a named tenant. Takes effect for
   /// subsequent Submits; in-flight and queued requests keep the config

@@ -2,11 +2,8 @@
 
 #include <cctype>
 #include <chrono>
-#include <mutex>
-#include <shared_mutex>
 #include <utility>
 
-#include "common/thread_annotations.h"
 #include "common/timer.h"
 #include "graph/builder.h"
 #include "graph/prefetch.h"
@@ -16,15 +13,6 @@
 namespace sage {
 
 namespace {
-
-// Concurrent runs share the process-wide scheduler freely, but a run that
-// asks for a different thread width must rebuild the pool, which is only
-// safe with no other run in flight: width changes take this lock
-// exclusively, every other run shares it.
-SharedMutex& SchedulerWidthLock() {
-  static SharedMutex* mu = new SharedMutex();
-  return *mu;
-}
 
 bool IsKebabCase(const std::string& name) {
   if (name.empty() || name.front() == '-' || name.back() == '-') return false;
@@ -45,18 +33,6 @@ bool IsKebabCase(const std::string& name) {
 }
 
 }  // namespace
-
-namespace internal {
-
-SchedulerWidthGuard::SchedulerWidthGuard() {
-  SchedulerWidthLock().lock_shared();
-}
-
-SchedulerWidthGuard::~SchedulerWidthGuard() {
-  SchedulerWidthLock().unlock_shared();
-}
-
-}  // namespace internal
 
 AlgorithmRegistry& AlgorithmRegistry::Get() {
   static AlgorithmRegistry& registry = *[] {
@@ -109,22 +85,16 @@ std::vector<std::string> AlgorithmRegistry::Names() const {
 Result<RunReport> AlgorithmRegistry::Run(const std::string& name,
                                          const Graph& g,
                                          const RunContext& ctx,
-                                         const RunParams& params) {
-  return RunImpl(name, g, /*weighted=*/nullptr, ctx, params);
-}
-
-Result<RunReport> AlgorithmRegistry::Run(const std::string& name,
-                                         const Graph& g, const Graph& weighted,
-                                         const RunContext& ctx,
-                                         const RunParams& params) {
-  return RunImpl(name, g, &weighted, ctx, params);
-}
-
-Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
-                                             const Graph& g,
-                                             const Graph* weighted,
-                                             const RunContext& ctx,
-                                             const RunParams& params) {
+                                         const RunParams& params,
+                                         const Graph* weighted) {
+  // The deadline budget runs from entry (a QueryService has already spent
+  // the request's queue wait from it).
+  auto deadline = std::chrono::steady_clock::time_point::max();
+  if (ctx.deadline_ms > 0) {
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double, std::milli>(ctx.deadline_ms));
+  }
   AlgorithmRegistry& reg = Get();
   const Entry* entry = reg.FindEntry(name);
   if (entry == nullptr) {
@@ -146,18 +116,8 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
   if (info.requires_symmetric && !g.symmetric()) {
     return Status::InvalidArgument(name + " requires a symmetric graph");
   }
-
-  // Thread-width discipline: width-changing runs are exclusive (the pool
-  // rebuild must not race in-flight parallel work); everything else runs
-  // concurrently under a shared lock. Taken before the weighted view is
-  // built, which itself runs parallel work on the shared pool.
-  std::shared_lock<SharedMutex> shared_width;
-  std::unique_lock<SharedMutex> exclusive_width;
-  if (ctx.num_threads > 0) {
-    exclusive_width = std::unique_lock<SharedMutex>(SchedulerWidthLock());
-    if (ctx.num_threads != num_workers()) Scheduler::Reset(ctx.num_threads);
-  } else {
-    shared_width = std::shared_lock<SharedMutex>(SchedulerWidthLock());
+  if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
+    return Status::Cancelled(name + ": cancelled before start");
   }
 
   // The weighted view is built before the counter frame: preparing the
@@ -165,12 +125,11 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
   Graph synthesized;
   const Graph* run_graph = &g;
   if (info.needs_weights && !g.weighted()) {
-    if (weighted != nullptr && weighted->weighted()) {
-      run_graph = weighted;
-    } else {
+    if (weighted == nullptr || !weighted->weighted()) {
       synthesized = AddRandomWeights(g, params.weight_seed);
-      run_graph = &synthesized;
+      weighted = &synthesized;
     }
+    run_graph = weighted;
   }
 
   // The run's private execution state: fresh counters and a device
@@ -200,42 +159,20 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
     cm.SetGraphShards(storage->shard_edge_starts());
   }
 
-  // Cooperative interruption: resolve the run's absolute deadline (the
-  // QueryService stamps one at Submit so queue wait counts against it;
-  // direct callers start the clock here) and arm the execution context.
-  // EdgeMap polls CheckInterrupt() once per round on the root thread.
-  auto deadline = ctx.absolute_deadline;
-  if (deadline == std::chrono::steady_clock::time_point::max() &&
-      ctx.deadline_ms > 0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double, std::milli>(ctx.deadline_ms));
-  }
-  const bool interruptible =
-      deadline != std::chrono::steady_clock::time_point::max() ||
-      ctx.cancel != nullptr;
-  if (interruptible) {
-    if (ctx.cancel != nullptr && ctx.cancel->cancelled()) {
-      return Status::Cancelled(name + ": cancelled before start");
-    }
-    if (deadline != std::chrono::steady_clock::time_point::max() &&
-        std::chrono::steady_clock::now() >= deadline) {
-      return Status::DeadlineExceeded(name + ": deadline expired before start");
-    }
-    exec.ArmInterrupt(ctx.cancel, deadline);
-  }
+  // Cooperative interruption: EdgeMap polls CheckInterrupt() once per
+  // round on the root thread. Without a deadline or a token the context
+  // stays unarmed and never throws.
+  exec.ArmInterrupt(ctx.cancel, deadline);
 
   // Per-run prefetch pipeline: built only when the context asks for it and
-  // the input is a mapped image (in-memory graphs have no pages to advise).
+  // the input is a mapped image (in-memory graphs have no pages to advise),
+  // and bound to the run's context, where every edgeMap round finds it.
   // Declared after `exec` so its advice thread is joined before the cost
-  // model it charges is destroyed. The runner sees it through a private
-  // copy of the context; the caller's RunContext is never mutated.
+  // model it charges is destroyed.
   std::unique_ptr<Prefetcher> prefetcher;
-  RunContext run_ctx = ctx;
-  run_ctx.edge_map.prefetcher = nullptr;
-  if (ctx.prefetch.enabled && g.nvram_resident()) {
-    prefetcher = std::make_unique<Prefetcher>(g, ctx.prefetch, &cm);
-    if (prefetcher->active()) run_ctx.edge_map.prefetcher = prefetcher.get();
+  if (ctx.prefetch && g.nvram_resident()) {
+    prefetcher = std::make_unique<Prefetcher>(g, PrefetchOptions{}, &cm);
+    if (prefetcher->active()) exec.BindPrefetcher(prefetcher.get());
   }
 
   RunReport report;
@@ -244,22 +181,18 @@ Result<RunReport> AlgorithmRegistry::RunImpl(const std::string& name,
     // to every worker that executes this run's forked work.
     nvram::ScopedExecutionContext scope(exec);
     Timer timer;
-    if (interruptible) {
-      try {
-        report.output = entry->runner(*run_graph, run_ctx, params);
-      } catch (const QueryInterrupt& interrupt) {
-        // Thrown from an edgeMap checkpoint on this (root) thread; the
-        // prefetcher and scoped bindings unwind normally. Partial output is
-        // dropped — the run either completes or reports why it stopped.
-        if (interrupt.code == StatusCode::kCancelled) {
-          return Status::Cancelled(name + ": cancelled mid-run");
-        }
-        return Status::DeadlineExceeded(
-            name + ": deadline exceeded after " +
-            std::to_string(timer.Seconds()) + "s");
+    try {
+      report.output = entry->runner(*run_graph, ctx, params);
+    } catch (const QueryInterrupt& interrupt) {
+      // Thrown from an edgeMap checkpoint on this (root) thread of an armed
+      // context; the prefetcher and scoped bindings unwind normally.
+      // Partial output is dropped — the run either completes or reports
+      // why it stopped.
+      if (interrupt.code == StatusCode::kCancelled) {
+        return Status::Cancelled(name + ": cancelled mid-run");
       }
-    } else {
-      report.output = entry->runner(*run_graph, run_ctx, params);
+      return Status::DeadlineExceeded(name + ": deadline exceeded after " +
+                                      std::to_string(timer.Seconds()) + "s");
     }
     report.wall_seconds = timer.Seconds();
   }

@@ -12,15 +12,14 @@
 // Run() validates the request against the declared requirements
 // (weighting an unweighted input with AddRandomWeights' shared view when
 // the algorithm needs weights), materializes the RunContext into a private
-// nvram::ExecutionContext (counters + device state owned by that run),
-// executes the runner with the context bound to the run's workers, and
-// returns a RunReport carrying the output plus the run's exact counters
-// and peak intermediate DRAM. No process-wide state is mutated or
-// restored, so any number of Run() calls may execute concurrently from
-// different threads over one shared graph - each report accounts only its
-// own run. (The one exception is RunContext::num_threads: resizing the
-// shared scheduler is a process-wide act, so such runs execute exclusively
-// after in-flight runs drain.)
+// nvram::ExecutionContext (counters, device state, deadline and prefetch
+// pipeline owned by that run), executes the runner with the context bound
+// to the run's workers, and returns a RunReport carrying the output plus
+// the run's exact counters and peak intermediate DRAM. No process-wide
+// state is mutated or restored, so any number of Run() calls may execute
+// concurrently from different threads over one shared graph - each report
+// accounts only its own run. The scheduler's width is the one process-wide
+// setting: change it with Scheduler::Reset only while no run is in flight.
 //
 // The built-in algorithms self-register in api/builtin_algorithms.cc, in
 // Table 1 row order; Names()/entries() preserve registration order so
@@ -109,27 +108,18 @@ class AlgorithmRegistry {
   size_t size() const { return entries_.size(); }
 
   /// Runs `name` on `g` under `ctx`. When the algorithm needs weights and
-  /// `g` has none, each run builds AddRandomWeights(g,
-  /// RunParams::weight_seed), a view sharing g's arrays, before the
-  /// counter frame opens.
+  /// `g` has none, it reads the caller's `weighted` view of `g`
+  /// (QueryService passes its snapshot's memoized view) or, when that is
+  /// null, a view AddRandomWeights(g, RunParams::weight_seed) builds
+  /// before the counter frame opens. Counters, residence and prefetch
+  /// follow `g` either way.
   static Result<RunReport> Run(const std::string& name, const Graph& g,
                                const RunContext& ctx,
-                               const RunParams& params = RunParams{});
-
-  /// As above, but a weighted algorithm reads the caller's `weighted` view
-  /// of `g` instead of building one (QueryService passes its snapshot's
-  /// memoized view). Counters, residence and prefetch still follow `g`.
-  static Result<RunReport> Run(const std::string& name, const Graph& g,
-                               const Graph& weighted, const RunContext& ctx,
-                               const RunParams& params = RunParams{});
+                               const RunParams& params = RunParams{},
+                               const Graph* weighted = nullptr);
 
  private:
   AlgorithmRegistry() = default;
-
-  static Result<RunReport> RunImpl(const std::string& name, const Graph& g,
-                                   const Graph* weighted,
-                                   const RunContext& ctx,
-                                   const RunParams& params);
 
   const Entry* FindEntry(const std::string& name) const;
 
@@ -140,19 +130,6 @@ class AlgorithmRegistry {
 namespace internal {
 /// Defined in builtin_algorithms.cc: registers the 18 Table-1 algorithms.
 void RegisterBuiltinAlgorithms(AlgorithmRegistry& registry);
-
-/// RAII shared hold on the registry's scheduler-width lock. Parallel work
-/// that runs *outside* Registry::Run but concurrently with it (a
-/// snapshot's weighted-view build, an update batch's merge) holds this so
-/// a width-changing run cannot rebuild the worker pool underneath it. Must
-/// be released before calling Registry::Run (the lock is not recursive).
-class SchedulerWidthGuard {
- public:
-  SchedulerWidthGuard();
-  ~SchedulerWidthGuard();
-  SchedulerWidthGuard(const SchedulerWidthGuard&) = delete;
-  SchedulerWidthGuard& operator=(const SchedulerWidthGuard&) = delete;
-};
 }  // namespace internal
 
 }  // namespace sage

@@ -66,7 +66,6 @@ std::string ResultCache::CanonicalKey(uint64_t epoch,
   key += "|p=" + std::to_string(static_cast<int>(ctx.policy));
   key += "|l=" + std::to_string(static_cast<int>(ctx.graph_layout));
   key += "|w=" + Num(ctx.omega);
-  key += "|t=" + std::to_string(ctx.num_threads);
   key += "|em=" +
          std::to_string(static_cast<int>(ctx.edge_map.sparse_variant)) + "," +
          std::to_string(static_cast<int>(ctx.edge_map.mode));

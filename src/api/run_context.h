@@ -3,22 +3,24 @@
 //
 // A RunContext describes *how* an algorithm executes: the emulated device
 // policy (which data lives on NVRAM vs. DRAM), the PSAM write asymmetry
-// omega, the NUMA placement of the graph, the thread budget, and the
-// EdgeMap traversal options. It is pure configuration: for each run,
-// AlgorithmRegistry::Run materializes it into a private
-// nvram::ExecutionContext (counters + device state owned by that run
-// alone) and binds it to the executing thread and its forked work, so any
-// number of runs with different contexts can execute concurrently - no
-// process-wide device state is mutated or restored per run. The ambient
-// configuration (nvram::ExecutionContext::Default()) seeds each run's
-// device state; RunContext's fields then override policy, layout, and
-// omega on top of it.
+// omega, the NUMA placement of the graph, the EdgeMap traversal options,
+// whether to prefetch, and the run's deadline and cancel token. It is pure
+// configuration: for each run, AlgorithmRegistry::Run materializes it into
+// a private nvram::ExecutionContext, which holds everything the run owns
+// while it executes (counters, device state, the armed deadline and the
+// prefetch pipeline), and binds it to the executing thread and its forked
+// work, so any number of runs with different contexts can execute
+// concurrently - no process-wide device state is mutated or restored per
+// run. The ambient configuration (nvram::ExecutionContext::Default()) seeds
+// each run's device state; RunContext's fields then override policy,
+// layout, and omega on top of it.
 //
-// One device property is deliberately *not* in the context: where the graph
-// physically lives. An mmap-ed .bsadj graph (binary_format.h) is
-// NVRAM-resident no matter what the policy says, so the registry derives
-// nvram::GraphResidence from Graph::nvram_resident() per run and the report
-// records it as RunReport::graph_mapped.
+// Two properties are deliberately *not* in the context. The scheduler's
+// width is process setup: set it with Scheduler::Reset while no run is in
+// flight. And where the graph physically lives: an mmap-ed .bsadj graph
+// (binary_format.h) is NVRAM-resident no matter what the policy says, so
+// the registry derives nvram::GraphResidence from Graph::nvram_resident()
+// per run and the report records it as RunReport::graph_mapped.
 //
 // RunParams carries the *algorithm-level* knobs (source vertex, seeds,
 // tolerances). Both structs are plain aggregates with the paper's defaults;
@@ -26,7 +28,6 @@
 // configuration used throughout the paper.
 #pragma once
 
-#include <chrono>
 #include <memory>
 #include <string>
 
@@ -38,7 +39,7 @@
 
 namespace sage {
 
-/// Device, thread, and traversal configuration for one engine run.
+/// Device, traversal, and interruption configuration for one engine run.
 struct RunContext {
   /// How program data maps onto the emulated devices (Figure 7 rows).
   nvram::AllocPolicy policy = nvram::AllocPolicy::kGraphNvram;
@@ -46,36 +47,22 @@ struct RunContext {
   nvram::GraphLayout graph_layout = nvram::GraphLayout::kReplicated;
   /// PSAM write asymmetry applied for the run (EmulationConfig::omega).
   double omega = nvram::EmulationConfig{}.omega;
-  /// Worker threads for the run; 0 keeps the current scheduler. A non-zero
-  /// width rebuilds the process-wide pool, so the registry runs such
-  /// requests exclusively (they wait for in-flight runs to drain and block
-  /// new ones); the scheduler is NOT restored after the run (rebuilding
-  /// thread pools per run would dominate small runs). Concurrent
-  /// submissions should leave this at 0.
-  int num_threads = 0;
   /// EdgeMap traversal options threaded into every frontier-based kernel.
   EdgeMapOptions edge_map;
   /// Page-frontier prefetch pipeline (graph/prefetch.h). Off by default;
   /// only takes effect when the run's graph is an mmap-ed .bsadj image -
-  /// the registry builds a per-run Prefetcher and threads it through
-  /// edge_map.prefetcher for the duration of the run. edge_map.prefetcher
-  /// itself is reserved for the registry: submitters configure prefetch
-  /// here, not by installing their own pipeline.
-  PrefetchOptions prefetch;
-  /// Deadline for the run in milliseconds from submission; 0 = none. The
-  /// QueryService stamps the absolute deadline at Submit time so queue wait
-  /// counts against it; direct AlgorithmRegistry::Run callers get the clock
-  /// started at run entry. An expired deadline surfaces as a
-  /// DeadlineExceeded Status, checked at edgeMap round boundaries.
+  /// the registry then builds a per-run Prefetcher and binds it to the
+  /// run's ExecutionContext, where every edgeMap round finds it.
+  bool prefetch = false;
+  /// Time budget for the run in milliseconds; 0 = none. The registry
+  /// starts the clock when it is entered; the QueryService first subtracts
+  /// the time a request waited in its queue, so queue wait and run share
+  /// one budget. An expired deadline surfaces as a DeadlineExceeded
+  /// Status, checked at edgeMap round boundaries.
   double deadline_ms = 0;
   /// Optional cooperative cancel token; the submitter keeps a reference
   /// and calls RequestCancel() to stop the run (Cancelled Status).
   std::shared_ptr<CancelToken> cancel;
-  /// Absolute deadline, reserved for the QueryService (like
-  /// edge_map.prefetcher): stamped at Submit so queue time counts against
-  /// deadline_ms. time_point::max() = derive from deadline_ms at run entry.
-  std::chrono::steady_clock::time_point absolute_deadline =
-      std::chrono::steady_clock::time_point::max();
 
   /// Snapshots the calling thread's ambient device state (the current
   /// ExecutionContext's - normally Default()'s) into a context, for

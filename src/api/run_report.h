@@ -82,7 +82,7 @@ struct RunReport {
   /// peaks.
   uint64_t peak_intermediate_bytes = 0;
   /// True when the page-frontier prefetch pipeline (graph/prefetch.h) was
-  /// active for the run (RunContext::prefetch.enabled on a mapped graph).
+  /// active for the run (RunContext::prefetch on a mapped graph).
   bool prefetch_enabled = false;
   /// EdgeMap rounds whose page frontier was handed to the advice thread.
   uint64_t prefetch_waves = 0;

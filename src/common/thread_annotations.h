@@ -15,11 +15,11 @@
 // types, so this header also provides drop-in wrappers over the std
 // primitives:
 //
-//   - sage::Mutex / sage::SharedMutex: annotated capabilities over
-//     std::mutex / std::shared_mutex (they keep the std Lockable interface,
-//     so std::unique_lock and friends still work where needed).
-//   - sage::MutexLock / sage::ReaderMutexLock / sage::WriterMutexLock:
-//     scoped acquisition, the only way annotated code should take a lock.
+//   - sage::Mutex: an annotated capability over std::mutex (it keeps the
+//     std Lockable interface, so std::unique_lock and friends still work
+//     where needed).
+//   - sage::MutexLock: scoped acquisition, the only way annotated code
+//     should take a lock.
 //   - sage::CondVar: a condition variable that waits on a MutexLock, so
 //     wait loops keep the capability visibly held:
 //
@@ -45,7 +45,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && !defined(SAGE_NO_THREAD_SAFETY_ATTRIBUTES)
 #define SAGE_THREAD_ANNOTATION_ATTRIBUTE__(x) __attribute__((x))
@@ -84,25 +83,13 @@
 #define SAGE_REQUIRES(...) \
   SAGE_THREAD_ANNOTATION_ATTRIBUTE__(requires_capability(__VA_ARGS__))
 
-/// As SAGE_REQUIRES, but shared (reader) access suffices.
-#define SAGE_REQUIRES_SHARED(...) \
-  SAGE_THREAD_ANNOTATION_ATTRIBUTE__(requires_shared_capability(__VA_ARGS__))
-
 /// The function acquires the given capabilities (itself when no argument).
 #define SAGE_ACQUIRE(...) \
   SAGE_THREAD_ANNOTATION_ATTRIBUTE__(acquire_capability(__VA_ARGS__))
 
-/// The function acquires the given capabilities in shared mode.
-#define SAGE_ACQUIRE_SHARED(...) \
-  SAGE_THREAD_ANNOTATION_ATTRIBUTE__(acquire_shared_capability(__VA_ARGS__))
-
 /// The function releases the given capabilities (itself when no argument).
 #define SAGE_RELEASE(...) \
   SAGE_THREAD_ANNOTATION_ATTRIBUTE__(release_capability(__VA_ARGS__))
-
-/// The function releases the given shared capabilities.
-#define SAGE_RELEASE_SHARED(...) \
-  SAGE_THREAD_ANNOTATION_ATTRIBUTE__(release_shared_capability(__VA_ARGS__))
 
 /// The function acquires the capability only when it returns the given
 /// value (e.g. SAGE_TRY_ACQUIRE(true) on a bool try_lock).
@@ -153,34 +140,6 @@ class SAGE_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Annotated shared (reader/writer) mutex over std::shared_mutex.
-class SAGE_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() SAGE_ACQUIRE() { mu_.lock(); }
-  bool TryLock() SAGE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void Unlock() SAGE_RELEASE() { mu_.unlock(); }
-  void LockShared() SAGE_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  bool TryLockShared() SAGE_TRY_ACQUIRE(true) { return mu_.try_lock_shared(); }
-  void UnlockShared() SAGE_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  // std SharedLockable interface.
-  void lock() SAGE_ACQUIRE() { mu_.lock(); }
-  bool try_lock() SAGE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  void unlock() SAGE_RELEASE() { mu_.unlock(); }
-  void lock_shared() SAGE_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  bool try_lock_shared() SAGE_TRY_ACQUIRE(true) {
-    return mu_.try_lock_shared();
-  }
-  void unlock_shared() SAGE_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// Scoped exclusive hold on a Mutex; the unit of locking in annotated code.
 class SAGE_SCOPED_CAPABILITY MutexLock {
  public:
@@ -193,33 +152,6 @@ class SAGE_SCOPED_CAPABILITY MutexLock {
  private:
   friend class CondVar;
   std::unique_lock<Mutex> lock_;
-};
-
-/// Scoped shared (reader) hold on a SharedMutex.
-class SAGE_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) SAGE_ACQUIRE_SHARED(mu)
-      : lock_(mu) {}
-  ~ReaderMutexLock() SAGE_RELEASE() {}
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  std::shared_lock<SharedMutex> lock_;
-};
-
-/// Scoped exclusive (writer) hold on a SharedMutex.
-class SAGE_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) SAGE_ACQUIRE(mu) : lock_(mu) {}
-  ~WriterMutexLock() SAGE_RELEASE() {}
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  std::unique_lock<SharedMutex> lock_;
 };
 
 /// Condition variable waiting on a MutexLock, so wait loops keep the

@@ -82,11 +82,6 @@ enum class TraversalMode : uint8_t {
 struct EdgeMapOptions {
   SparseVariant sparse_variant = SparseVariant::kChunked;
   TraversalMode mode = TraversalMode::kAuto;
-  /// Page-frontier prefetch pipeline for mapped graphs (graph/prefetch.h).
-  /// When set and covering `g`, each round's frontier is enqueued before
-  /// traversal so madvise(MADV_WILLNEED) advice runs one wave ahead of
-  /// compute. Not owned; may be null (the default - no prefetch).
-  Prefetcher* prefetcher = nullptr;
 };
 
 namespace internal {
@@ -424,7 +419,8 @@ VertexSubset EdgeMap(const GraphT& g, VertexSubset& frontier, F f,
   // Interrupt checkpoint: one poll per traversal round. Throws
   // QueryInterrupt on the run's root thread when the query's deadline has
   // passed or it was cancelled; free for uninterruptible runs.
-  nvram::ExecutionContext::Current().CheckInterrupt();
+  const nvram::ExecutionContext& exec = nvram::ExecutionContext::Current();
+  exec.CheckInterrupt();
   if (frontier.IsEmpty()) return VertexSubset::Empty(g.num_vertices());
   uint64_t deg = internal::FrontierDegree(g, frontier);
   const uint64_t m = g.num_edges();
@@ -446,13 +442,15 @@ VertexSubset EdgeMap(const GraphT& g, VertexSubset& frontier, F f,
     frontier.ToSparse();
   }
   if constexpr (!GraphT::kCompressed) {
-    // Hand the upcoming round's page frontier to the advice thread before
-    // traversal starts, so readahead overlaps with edge processing.
-    if (opts.prefetcher != nullptr && opts.prefetcher->Covers(g)) {
+    // Hand the upcoming round's page frontier to the run's prefetch
+    // pipeline (graph/prefetch.h) before traversal starts, so
+    // madvise(MADV_WILLNEED) readahead overlaps with edge processing.
+    Prefetcher* prefetcher = exec.prefetcher();
+    if (prefetcher != nullptr && prefetcher->Covers(g)) {
       if (pull) {
-        opts.prefetcher->EnqueueDenseWave();
+        prefetcher->EnqueueDenseWave();
       } else {
-        opts.prefetcher->EnqueueWave(frontier.ids());
+        prefetcher->EnqueueWave(frontier.ids());
       }
     }
   }

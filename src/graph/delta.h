@@ -226,8 +226,7 @@ class OverlayGraphStorage final : public GraphStorage {
 /// Copy-on-write: `prev` is never modified, so epochs already serving it
 /// are unaffected. InvalidArgument when any update references a vertex
 /// >= n (no update is applied). Merging runs parallel over touched
-/// vertices; callers running concurrently with AlgorithmRegistry::Run must
-/// hold internal::SchedulerWidthGuard (Engine::ApplyUpdates does).
+/// vertices on the shared scheduler.
 Result<std::shared_ptr<const DeltaOverlay>> ApplyUpdateBatch(
     const Graph& base, const std::shared_ptr<const DeltaOverlay>& prev,
     std::span<const EdgeUpdate> updates);

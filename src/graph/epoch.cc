@@ -61,11 +61,6 @@ void EpochManager::WaitForRetiredBelow(uint64_t epoch) const {
   }
 }
 
-void EpochManager::SetRetireCallback(RetireCallback callback) {
-  MutexLock lock(shared_->mu);
-  shared_->on_retire = std::move(callback);
-}
-
 void EpochManager::AddRetireListener(RetireCallback listener) {
   MutexLock lock(shared_->mu);
   shared_->listeners.push_back(std::move(listener));
@@ -83,19 +78,16 @@ std::shared_ptr<const GraphSnapshot> EpochManager::MakeSnapshot(
       snapshot, [shared = std::move(shared)](const GraphSnapshot* s) {
         const uint64_t retired = s->epoch;
         // Release the graph (and with it any storage the epoch privately
-        // held, e.g. a superseded file mapping) and run the retire hooks
-        // BEFORE announcing retirement, so waiters observe the mapping
-        // already dropped and the hooks' effects (cache invalidation)
-        // already applied.
+        // held, e.g. a superseded file mapping) and run the retire
+        // listeners BEFORE announcing retirement, so waiters observe the
+        // mapping already dropped and the listeners' effects (cache
+        // invalidation) already applied.
         delete s;
-        RetireCallback callback;
         std::vector<RetireCallback> listeners;
         {
           MutexLock lock(shared->mu);
-          callback = shared->on_retire;
           listeners = shared->listeners;
         }
-        if (callback) callback(retired);
         for (const RetireCallback& listener : listeners) listener(retired);
         {
           MutexLock lock(shared->mu);

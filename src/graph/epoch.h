@@ -40,9 +40,8 @@ struct GraphSnapshot {
   /// AddRandomWeights(graph, seed) for weighted algorithms on an
   /// unweighted graph, built once and kept for the last seed asked for
   /// (another seed replaces it; holders of the old view keep it alive)
-  /// until the snapshot is released. Thread-safe. The build runs parallel
-  /// work: callers running concurrently with AlgorithmRegistry::Run must
-  /// hold internal::SchedulerWidthGuard (QueryService does).
+  /// until the snapshot is released. Thread-safe; the build runs parallel
+  /// work on the shared scheduler.
   std::shared_ptr<const Graph> WeightedView(uint64_t seed) const
       SAGE_EXCLUDES(weighted_mu_);
 
@@ -83,19 +82,14 @@ class EpochManager {
   size_t live_epochs() const;
 
   /// Blocks until every epoch numbered below `epoch` has fully retired,
-  /// its retire callback and listeners included.
+  /// its retire listeners included.
   void WaitForRetiredBelow(uint64_t epoch) const;
 
-  /// Replaces the retire callback (pass nullptr to clear). Applies to
-  /// epochs retiring after the call.
-  void SetRetireCallback(RetireCallback callback);
-
-  /// Appends a retire listener; listeners are never replaced or cleared
-  /// (callers owning a shorter-lived object must capture it by shared_ptr
-  /// — a snapshot can outlive the manager and still fires the hooks).
-  /// Subsystems that must not trample each other (the Engine's result
-  /// cache vs. test instrumentation) use this instead of
-  /// SetRetireCallback's replace semantics.
+  /// Appends a retire listener, called for epochs retiring after the call;
+  /// listeners are never replaced or cleared, so subsystems (the Engine's
+  /// result cache, test instrumentation) cannot trample each other.
+  /// Callers owning a shorter-lived object must capture it by shared_ptr —
+  /// a snapshot can outlive the manager and still fires the listeners.
   void AddRetireListener(RetireCallback listener);
 
  private:
@@ -105,7 +99,6 @@ class EpochManager {
     mutable Mutex mu;
     mutable CondVar retired_cv;
     std::set<uint64_t> live SAGE_GUARDED_BY(mu);
-    RetireCallback on_retire SAGE_GUARDED_BY(mu);
     std::vector<RetireCallback> listeners SAGE_GUARDED_BY(mu);
   };
 

@@ -125,30 +125,22 @@ Prefetcher::~Prefetcher() {
 
 void Prefetcher::EnqueueWave(std::span<const vertex_id> frontier) {
   if (!active() || frontier.empty()) return;
-  Wave wave;
-  wave.ids.assign(frontier.begin(), frontier.end());
+  Enqueue(
+      Wave{.ids = std::vector<vertex_id>(frontier.begin(), frontier.end())});
+}
+
+void Prefetcher::EnqueueDenseWave() {
+  if (!active()) return;
+  Enqueue(Wave{.ids = {}, .dense = true});
+}
+
+void Prefetcher::Enqueue(Wave wave) {
   {
     MutexLock lock(mu_);
     stats_.waves++;
     if (queue_.size() >= options_.max_queued_waves) {
       // The oldest wave's frontier has already been traversed; its advice
       // can only arrive late. Its pages fall to the synchronous fault path.
-      stats_.pages_faulted += EstimatePages(queue_.front());
-      queue_.pop_front();
-    }
-    queue_.push_back(std::move(wave));
-  }
-  work_cv_.NotifyOne();
-}
-
-void Prefetcher::EnqueueDenseWave() {
-  if (!active()) return;
-  Wave wave;
-  wave.dense = true;
-  {
-    MutexLock lock(mu_);
-    stats_.waves++;
-    if (queue_.size() >= options_.max_queued_waves) {
       stats_.pages_faulted += EstimatePages(queue_.front());
       queue_.pop_front();
     }

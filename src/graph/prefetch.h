@@ -15,14 +15,14 @@
 //     frontier, section layout) to sorted, coalesced, budget-clamped page
 //     ranges; unit-testable with synthetic layouts.
 //   - Prefetcher: owns the background advice thread. EdgeMap enqueues one
-//     wave per round (EdgeMapOptions::prefetcher, set per run by
-//     AlgorithmRegistry when RunContext::prefetch.enabled and the input
-//     graph is mapped); the thread computes the page frontier, checks
-//     residency via mincore, and advises the non-resident ranges. A
-//     sliding per-wave byte budget and a bounded wave queue keep the
-//     pipeline from out-running DRAM: pages beyond the budget are left to
-//     the compute wave's synchronous fault path and counted as
-//     pages_faulted.
+//     wave per round into the pipeline bound to the run's
+//     nvram::ExecutionContext (built per run by AlgorithmRegistry when
+//     RunContext::prefetch is set and the input graph is mapped); the
+//     thread computes the page frontier, checks residency via mincore,
+//     and advises the non-resident ranges. A sliding per-wave byte budget
+//     and a bounded wave queue keep the pipeline from out-running DRAM:
+//     pages beyond the budget are left to the compute wave's synchronous
+//     fault path and counted as pages_faulted.
 //   - EvictGraphPages: drops a mapped graph's pages from the page tables
 //     *and* the page cache (madvise(MADV_DONTNEED) + fsync +
 //     posix_fadvise(POSIX_FADV_DONTNEED)), so cold-traversal benchmarks
@@ -52,12 +52,9 @@
 
 namespace sage {
 
-/// Per-run prefetch configuration (RunContext::prefetch; off by default).
+/// Limits of one Prefetcher. Engine runs use the defaults; RunContext
+/// only switches the pipeline on (RunContext::prefetch).
 struct PrefetchOptions {
-  /// Master switch. Only takes effect when the input graph is an mmap-ed
-  /// .bsadj image (Graph::nvram_resident()); in-memory graphs have no
-  /// pages to prefetch and the registry leaves the pipeline off.
-  bool enabled = false;
   /// Sliding per-wave byte budget: at most this many bytes of page frontier
   /// are advised per edgeMap round, so advice never out-runs DRAM. Pages
   /// beyond the budget fall back to the synchronous fault path (counted as
@@ -172,6 +169,9 @@ class Prefetcher {
     bool dense = false;
   };
 
+  /// Counts `wave`, drops the oldest queued wave when the queue is at its
+  /// bound, queues `wave` and wakes the advice thread.
+  void Enqueue(Wave wave) SAGE_EXCLUDES(mu_);
   void WorkerLoop() SAGE_EXCLUDES(mu_);
   void ProcessWave(const Wave& wave) SAGE_EXCLUDES(mu_);
   void AdviseRanges(const std::vector<PageRange>& ranges) SAGE_EXCLUDES(mu_);

@@ -1,14 +1,15 @@
 // ExecutionContext: the per-run execution state of the engine.
 //
-// An ExecutionContext owns everything one query charges while it runs: a
+// An ExecutionContext holds all of one query's state while it runs: a
 // CostModel instance (PSAM counters + device configuration: policy, omega,
-// NUMA layout, graph residence, MemoryMode cache) and a
-// MemoryTracker instance (peak intermediate DRAM). AlgorithmRegistry::Run
-// builds one per run, binds it to the calling thread with
-// ScopedExecutionContext, and reads the run's counters and peak from it
-// afterwards - nothing process-wide is mutated or restored, which is what
-// lets any number of runs execute concurrently over one shared graph with
-// exact per-run accounting.
+// NUMA layout, graph residence, MemoryMode cache), a MemoryTracker
+// instance (peak intermediate DRAM), the armed deadline and cancel token,
+// and the run's prefetch pipeline, if any. AlgorithmRegistry::Run builds
+// one per run from its RunContext (which is configuration only), binds it
+// to the calling thread with ScopedExecutionContext, and reads the run's
+// counters and peak from it afterwards - nothing process-wide is mutated
+// or restored, which is what lets any number of runs execute concurrently
+// over one shared graph with exact per-run accounting.
 //
 // Propagation: binding a context stores its address as the scheduler's
 // thread-local task tag. Every job forked while the tag is bound carries it
@@ -49,9 +50,14 @@
 #include "nvram/memory_tracker.h"
 #include "parallel/scheduler.h"
 
+namespace sage {
+class Prefetcher;
+}  // namespace sage
+
 namespace sage::nvram {
 
-/// Per-run execution state: one cost model + one memory tracker.
+/// Per-run execution state: one cost model, one memory tracker, the
+/// interrupt checkpoint's deadline and token, and the prefetch pipeline.
 class ExecutionContext {
  public:
   ExecutionContext() = default;
@@ -97,19 +103,25 @@ class ExecutionContext {
 
   /// Arms cooperative interruption for this run: an optional cancel token,
   /// an optional absolute deadline (steady clock; time_point::max() means
-  /// none), and the run's root thread. Checkpoints only throw on the root
-  /// thread — unwinding a scheduler worker mid-job would strand the pool —
-  /// so a trip observed on a worker is re-observed at the next root-thread
-  /// checkpoint.
+  /// none), and the run's root thread. With neither a token nor a deadline
+  /// the context stays unarmed and CheckInterrupt() never throws.
+  /// Checkpoints only throw on the root thread — unwinding a scheduler
+  /// worker mid-job would strand the pool — so a trip observed on a worker
+  /// is re-observed at the next root-thread checkpoint.
   void ArmInterrupt(std::shared_ptr<CancelToken> cancel,
                     std::chrono::steady_clock::time_point deadline) {
     cancel_ = std::move(cancel);
     deadline_ = deadline;
     root_thread_ = std::this_thread::get_id();
-    interruptible_ = true;
+    interruptible_ = cancel_ != nullptr ||
+                     deadline_ != std::chrono::steady_clock::time_point::max();
   }
 
-  bool interruptible() const { return interruptible_; }
+  /// The run's page-frontier prefetch pipeline (graph/prefetch.h), or
+  /// nullptr. Not owned: the registry owns it, binds it here before the run
+  /// starts, and destroys it after the run's last edgeMap round.
+  Prefetcher* prefetcher() const { return prefetcher_; }
+  void BindPrefetcher(Prefetcher* prefetcher) { prefetcher_ = prefetcher; }
 
   /// Interrupt checkpoint: called at edgeMap round boundaries. Throws
   /// QueryInterrupt on the run's root thread when the deadline has passed
@@ -134,6 +146,7 @@ class ExecutionContext {
       std::chrono::steady_clock::time_point::max();
   std::thread::id root_thread_;
   bool interruptible_ = false;
+  Prefetcher* prefetcher_ = nullptr;
 };
 
 /// The cost model of the calling thread's current ExecutionContext: the

@@ -283,7 +283,7 @@ TEST(AlgorithmRegistry, CountersMatchDirectCallPath) {
     RunContext ctx;
     RunParams params;
     params.source = src;
-    auto run = AlgorithmRegistry::Run(name, g, gw, ctx, params);
+    auto run = AlgorithmRegistry::Run(name, g, ctx, params, &gw);
     ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
     const RunReport& report = run.ValueOrDie();
     ExpectTotalsEq(report.cost, direct_totals, name);
@@ -320,16 +320,16 @@ TEST(AlgorithmRegistry, WeightedViewChargesExactlyLikeACopy) {
                    view.symmetric());
   ASSERT_FALSE(copy.nvram_resident());
 
+  Scheduler::Reset(1);
   for (const nvram::AllocPolicy policy :
        {nvram::AllocPolicy::kGraphNvram, nvram::AllocPolicy::kAllDram,
         nvram::AllocPolicy::kAllNvram, nvram::AllocPolicy::kMemoryMode}) {
     RunContext ctx;
     ctx.policy = policy;
-    ctx.num_threads = 1;
     for (const std::string algo : {"bellman-ford", "wbfs", "widest-path"}) {
       const std::string label = algo + " " + nvram::AllocPolicyName(policy);
-      auto on_view = AlgorithmRegistry::Run(algo, g, view, ctx, {.source = 1});
-      auto on_copy = AlgorithmRegistry::Run(algo, g, copy, ctx, {.source = 1});
+      auto on_view = AlgorithmRegistry::Run(algo, g, ctx, {.source = 1}, &view);
+      auto on_copy = AlgorithmRegistry::Run(algo, g, ctx, {.source = 1}, &copy);
       ASSERT_TRUE(on_view.ok()) << label << ": " << on_view.status().ToString();
       ASSERT_TRUE(on_copy.ok()) << label << ": " << on_copy.status().ToString();
       const RunReport& a = on_view.ValueOrDie();

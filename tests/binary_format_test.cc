@@ -26,6 +26,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/varint.h"
+#include "parallel/scheduler.h"
 
 namespace sage {
 namespace {
@@ -302,7 +303,7 @@ TEST(BinaryFormat, MappedRunsMatchTextRunsExactly) {
     RunContext ctx;  // kGraphNvram defaults
     // Relaxation rounds race on writeMin, and which racer wins steers the
     // next frontier: their counters reproduce exactly on one worker.
-    if (algo == "bellman-ford" || algo == "wbfs") ctx.num_threads = 1;
+    if (algo == "bellman-ford" || algo == "wbfs") Scheduler::Reset(1);
     auto a = AlgorithmRegistry::Run(algo, from_text.ValueOrDie(), ctx, params);
     auto b =
         AlgorithmRegistry::Run(algo, from_binary.ValueOrDie(), ctx, params);
@@ -321,6 +322,7 @@ TEST(BinaryFormat, MappedRunsMatchTextRunsExactly) {
     EXPECT_NE(rb.ToJson().find("\"graph_source\": \"mapped-nvram\""),
               std::string::npos);
   }
+  Scheduler::Reset(0);
 }
 
 // kGraphNvram becomes literal for mapped graphs - and kAllDram cannot

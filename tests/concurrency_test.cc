@@ -45,11 +45,7 @@ void ExpectTotalsEq(const nvram::CostTotals& a, const nvram::CostTotals& b,
 Result<RunReport> RunByName(const std::string& name, const Graph& g,
                             const Graph& gw, const RunContext& ctx,
                             const RunParams& params) {
-  const AlgorithmInfo* info = AlgorithmRegistry::Get().Find(name);
-  if (info != nullptr && info->needs_weights) {
-    return AlgorithmRegistry::Run(name, g, gw, ctx, params);
-  }
-  return AlgorithmRegistry::Run(name, g, ctx, params);
+  return AlgorithmRegistry::Run(name, g, ctx, params, &gw);
 }
 
 // The propagation mechanism itself: a bound context receives charges from

@@ -28,6 +28,7 @@
 #include "api/registry.h"
 #include "graph/binary_format.h"
 #include "graph/generators.h"
+#include "parallel/scheduler.h"
 #include "graph/shard.h"
 #include "graph/sharded_storage.h"
 
@@ -88,7 +89,7 @@ TEST(CounterGolden, EveryAlgorithmPolicyLayoutAndShardMatchesRecording) {
 
   std::vector<std::string> lines;
   RunContext ctx;
-  ctx.num_threads = 1;
+  Scheduler::Reset(1);
   for (nvram::AllocPolicy policy :
        {nvram::AllocPolicy::kAllDram, nvram::AllocPolicy::kGraphNvram,
         nvram::AllocPolicy::kAllNvram, nvram::AllocPolicy::kMemoryMode}) {
@@ -104,6 +105,7 @@ TEST(CounterGolden, EveryAlgorithmPolicyLayoutAndShardMatchesRecording) {
   RunAll("mapped/graph-nvram/interleaved", mapped.ValueOrDie(), ctx, &lines);
   ctx.graph_layout = nvram::GraphLayout::kReplicated;
   RunAll("sharded-2/graph-nvram", sharded.ValueOrDie(), ctx, &lines);
+  Scheduler::Reset(0);
 
   if (const char* out = std::getenv("SAGE_COUNTER_GOLDEN_OUT")) {
     std::ofstream f(out, std::ios::trunc);

@@ -409,10 +409,10 @@ TEST(DeltaIO, RejectsMissingAndMalformedFiles) {
 
 TEST(EpochManager, PinAdvanceRetireLifecycle) {
   // Declared before the manager: the current epoch retires from the
-  // manager's destructor, which still fires the callback.
+  // manager's destructor, which still fires the listener.
   std::vector<uint64_t> retired;
   EpochManager epochs(PathGraph());
-  epochs.SetRetireCallback([&](uint64_t e) { retired.push_back(e); });
+  epochs.AddRetireListener([&](uint64_t e) { retired.push_back(e); });
 
   auto pin0 = epochs.Pin();
   EXPECT_EQ(pin0->epoch, 0u);
@@ -437,14 +437,14 @@ TEST(EpochManager, PinAdvanceRetireLifecycle) {
 }
 
 TEST(EpochManager, WaitersObserveRetireHooksAlreadyRun) {
-  // The last pin drops on another thread, whose retire hooks are slow; a
-  // waiter must not wake until both the callback and the listener (the
+  // The last pin drops on another thread, whose retire listeners are
+  // slow; a waiter must not wake until both listeners (one stands for the
   // result cache's invalidation, in the Engine) have finished. The flags
   // outlive the manager, whose destructor retires epoch 1 the same way.
   std::atomic<bool> callback_done{false};
   std::atomic<bool> listener_done{false};
   EpochManager epochs(PathGraph());
-  epochs.SetRetireCallback([&](uint64_t) {
+  epochs.AddRetireListener([&](uint64_t) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     callback_done.store(true);
   });
@@ -723,8 +723,8 @@ TEST(UpdateParity, CompactedGraphMatchesOverlayViewBitForBit) {
   const int host_width = num_workers();
   auto pin_width = [&](const std::string& algo) {
     const bool relax = algo == "bellman-ford" || algo == "wbfs";
-    overlay_engine.context().num_threads = relax ? 1 : host_width;
-    compact_engine.context().num_threads = relax ? 1 : host_width;
+    const int width = relax ? 1 : host_width;
+    if (width != num_workers()) Scheduler::Reset(width);
     return relax;
   };
   for (const std::string& algo : algos) {
@@ -769,6 +769,7 @@ TEST(UpdateParity, CompactedGraphMatchesOverlayViewBitForBit) {
     ExpectTotalsEq(a.ValueOrDie().cost, b.ValueOrDie().cost,
                    algo + " under all-nvram");
   }
+  Scheduler::Reset(host_width);
 }
 
 }  // namespace

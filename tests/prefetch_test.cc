@@ -17,6 +17,7 @@
 #include "graph/generators.h"
 #include "graph/prefetch.h"
 #include "nvram/execution_context.h"
+#include "parallel/scheduler.h"
 
 namespace sage {
 namespace {
@@ -272,12 +273,10 @@ TEST(Prefetcher, EngineRunsAreIdenticalWithPrefetchOnAndOff) {
           algo + (weighted ? " (weighted image)" : " (unweighted image)");
       RunContext off;
       RunContext on;
-      on.prefetch.enabled = true;
+      on.prefetch = true;
       // Relaxation rounds race on writeMin, and which racer wins steers the
       // next frontier: their counters reproduce exactly on one worker.
-      if (algo == "bellman-ford" || algo == "wbfs") {
-        off.num_threads = on.num_threads = 1;
-      }
+      if (algo == "bellman-ford" || algo == "wbfs") Scheduler::Reset(1);
       auto off_run = AlgorithmRegistry::Run(algo, mg, off);
       auto on_run = AlgorithmRegistry::Run(algo, mg, on);
       ASSERT_TRUE(off_run.ok()) << off_run.status().ToString();
@@ -307,6 +306,7 @@ TEST(Prefetcher, EngineRunsAreIdenticalWithPrefetchOnAndOff) {
     }
     std::remove(path.c_str());
   }
+  Scheduler::Reset(0);
 }
 
 TEST(EvictGraphPages, DropsResidency) {

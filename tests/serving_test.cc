@@ -496,6 +496,42 @@ TEST(Serving, DeadlineExpiredInQueueSkipsExecution) {
       << "an expired request must not execute its kernel";
 }
 
+// Queue wait and run share one deadline budget: a request that waited
+// about 0.7 D in the queue has about 0.3 D left to run, not a fresh D.
+// The margins hold on a loaded host: the run must end within 0.8 D of the
+// gate opening, while a fresh budget would spin for at least D.
+TEST(Serving, QueueWaitCountsAgainstTheRunsDeadline) {
+  RegisterServingTestAlgorithms();
+  Graph g = SharedGraph();
+  QueryService::Options options;
+  options.sessions = 1;
+  QueryService service(g, options);
+
+  g_gate_open.store(false);
+  g_gate_entered.store(0);
+  auto gate = service.Submit("test-gate", RunContext{});
+  while (g_gate_entered.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  constexpr double kDeadlineMs = 1000;
+  RunContext ctx;
+  ctx.deadline_ms = kDeadlineMs;
+  auto spin = service.Submit("test-spin", ctx);
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  const auto opened = std::chrono::steady_clock::now();
+  g_gate_open.store(true);
+  EXPECT_TRUE(gate.get().ok());
+  auto run = spin.get();
+  const double after_open_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - opened)
+          .count();
+  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded)
+      << run.status().ToString();
+  EXPECT_LT(after_open_ms, 0.8 * kDeadlineMs)
+      << "the run got a fresh budget instead of what the queue left";
+}
+
 // ---------------------------------------------------------------------------
 // Latency histogram bucket math.
 

@@ -25,6 +25,7 @@
 #include "graph/shard.h"
 #include "graph/sharded_storage.h"
 #include "nvram/cost_model.h"
+#include "parallel/scheduler.h"
 
 namespace sage {
 namespace {
@@ -163,7 +164,7 @@ TEST(ShardParity, AlgorithmsMatchMonolithicBitForBit) {
   ASSERT_TRUE(shard_g.ok()) << shard_g.status().ToString();
 
   RunContext rctx;
-  rctx.num_threads = 1;  // deterministic schedules on both sides
+  Scheduler::Reset(1);  // deterministic schedules on both sides
   for (const char* algo :
        {"bfs", "connectivity", "pagerank", "bellman-ford", "wbfs"}) {
     auto a = AlgorithmRegistry::Run(algo, mono_g.ValueOrDie(), rctx);
@@ -188,6 +189,7 @@ TEST(ShardParity, AlgorithmsMatchMonolithicBitForBit) {
     EXPECT_GT(binned, 0u) << algo;
     EXPECT_LE(binned, rb.cost.nvram_reads) << algo;
   }
+  Scheduler::Reset(0);
   RemoveSharded(manifest, 4);
   std::remove(mono.c_str());
 }
@@ -204,14 +206,13 @@ TEST(ShardParity, MultiThreadedRunsMatchMonolithicSummaries) {
   // segments. Summaries are order-insensitive aggregates (reached counts,
   // component counts, iteration counts), so every width must reproduce
   // the monolithic single-threaded run's.
-  RunContext serial;
-  serial.num_threads = 1;
+  RunContext rctx;
   for (const char* algo : {"bfs", "connectivity", "pagerank"}) {
-    auto ref = AlgorithmRegistry::Run(algo, g, serial);
+    Scheduler::Reset(1);
+    auto ref = AlgorithmRegistry::Run(algo, g, rctx);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     for (int width : {1, 2, 4}) {
-      RunContext rctx;
-      rctx.num_threads = width;
+      Scheduler::Reset(width);
       auto run = AlgorithmRegistry::Run(algo, sg, rctx);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       EXPECT_EQ(run.ValueOrDie().summary, ref.ValueOrDie().summary)
@@ -219,6 +220,7 @@ TEST(ShardParity, MultiThreadedRunsMatchMonolithicSummaries) {
       EXPECT_EQ(run.ValueOrDie().per_shard.size(), 4u) << algo;
     }
   }
+  Scheduler::Reset(0);
   RemoveSharded(manifest, 4);
 }
 
