@@ -2,8 +2,8 @@
 // (Section 4.3.1). Two implementations, as in the paper:
 //  - WidestPathBF:       Bellman-Ford-style iterative write-max;
 //  - WidestPathBucketed: Julienne-style bucketing in decreasing capacity
-//    order (capacities are bounded by the maximum edge weight, so buckets
-//    are dense and few).
+//    order (capacities are bounded by the heaviest edge out of the source,
+//    so buckets are dense and few).
 #pragma once
 
 #include <atomic>
@@ -80,19 +80,12 @@ std::vector<uint64_t> WidestPathBucketed(const GraphT& g, vertex_id src,
                                              EdgeMapOptions{}) {
   SAGE_CHECK_MSG(g.weighted(), "WidestPath requires a weighted graph");
   const vertex_id n = g.num_vertices();
-  // Capacities of reached vertices lie in [1, max_weight].
-  uint64_t max_w = reduce_max<uint64_t>(
-      n,
-      [&](size_t v) {
-        uint64_t best = 0;
-        vertex_id d = g.degree_uncharged(static_cast<vertex_id>(v));
-        for (vertex_id i = 0; i < d; ++i) {
-          best = std::max<uint64_t>(
-              best, g.weight_at(static_cast<vertex_id>(v), i));
-        }
-        return best;
-      },
-      0);
+  // Every path leaves src through one of its edges, so capacities of
+  // reached vertices lie in [1, heaviest edge out of src].
+  uint64_t max_w = 0;
+  g.MapNeighbors(src, [&](vertex_id, vertex_id, weight_t w) {
+    max_w = std::max<uint64_t>(max_w, w);
+  });
   std::vector<std::atomic<uint64_t>> cap(n);
   std::vector<std::atomic<uint8_t>> in_next(n);
   parallel_for(0, n, [&](size_t v) {

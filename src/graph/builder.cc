@@ -104,29 +104,43 @@ Graph GraphBuilder::FromWeightedEdges(vertex_id n,
 }
 
 Graph AddRandomWeights(const Graph& g, uint64_t seed) {
-  // The raw spans below bypass a delta overlay; weight the merged view.
-  // (Weights hash the undirected pair, so the overlay view's weights match
-  // the compacted graph's bit for bit.)
-  if (g.has_overlay()) return AddRandomWeights(FlattenOverlay(g), seed);
-  vertex_id n = g.num_vertices();
+  const vertex_id n = g.num_vertices();
   uint32_t max_w = 2;
   while ((1ull << max_w) < n) ++max_w;  // max_w = ceil(log2 n), at least 2
-  Random rng(seed);
-  const auto& offsets = g.raw_offsets();
-  const auto& neighbors = g.raw_neighbors();
-  std::vector<weight_t> weights(neighbors.size());
-  // Hash the undirected pair (min, max) so both directions get equal weight.
-  parallel_for(0, n, [&](size_t u) {
-    for (edge_offset i = offsets[u]; i < offsets[u + 1]; ++i) {
-      vertex_id v = neighbors[i];
-      uint64_t lo = std::min<uint64_t>(u, v), hi = std::max<uint64_t>(u, v);
-      weights[i] =
-          1 + static_cast<weight_t>(rng.ith_rand(lo * n + hi) % (max_w - 1));
-    }
-  });
-  // Only the weights are new: the view reads g's own offsets and neighbors.
-  return Graph(std::make_shared<OverlayGraphStorage>(g.storage(), nullptr,
-                                                     std::move(weights)),
+  const Random rng(seed);
+  // Hash the undirected pair (min, max) so both directions get equal weight
+  // and every view of an edge, overlaid or compacted, gets the same one.
+  auto weight = [&](uint64_t u, uint64_t v) {
+    const uint64_t lo = std::min(u, v), hi = std::max(u, v);
+    return 1 + static_cast<weight_t>(rng.ith_rand(lo * n + hi) % (max_w - 1));
+  };
+  // Weigh the base image under any layered view: its array is built once
+  // and serves every epoch over the image, so an updated epoch adds only
+  // the weights of its overlaid lists.
+  std::shared_ptr<const GraphStorage> base = g.storage();
+  std::shared_ptr<const DeltaOverlay> overlay;
+  while (const auto* layered =
+             dynamic_cast<const OverlayGraphStorage*>(base.get())) {
+    if (layered->overlay() != nullptr) overlay = layered->overlay();
+    base = layered->base();
+  }
+  std::shared_ptr<const std::vector<weight_t>> weights =
+      base->SynthesizedWeights(seed, [&] {
+        std::span<const edge_offset> offsets = base->offsets();
+        std::span<const vertex_id> neighbors = base->neighbors();
+        std::vector<weight_t> w(neighbors.size());
+        parallel_for(0, n, [&](size_t u) {
+          for (edge_offset i = offsets[u]; i < offsets[u + 1]; ++i) {
+            w[i] = weight(u, neighbors[i]);
+          }
+        });
+        return w;
+      });
+  if (overlay != nullptr) overlay = WeighOverlay(*overlay, weight);
+  // Only the weights are new: the view reads the image's own offsets and
+  // neighbors.
+  return Graph(std::make_shared<OverlayGraphStorage>(
+                   std::move(base), std::move(overlay), std::move(weights)),
                g.symmetric());
 }
 

@@ -41,9 +41,14 @@ class GraphBuilder {
 
 /// Returns `g` with uniformly random integral weights in
 /// [1, max(2, ceil(log2 n))), as in the paper's weighted experiments.
-/// Symmetric edges (u,v)/(v,u) receive the same weight. The result shares
-/// g's offsets and neighbors (a mapped image stays NVRAM-resident) and
-/// owns only the m weights, in DRAM; an overlay view is flattened first.
+/// Each weight is a hash of (min(u, v), max(u, v), seed), so symmetric
+/// edges (u,v)/(v,u) receive the same weight, and an updated epoch's view
+/// weighs every edge as its compacted graph would. The result shares g's
+/// offsets and neighbors (a mapped image stays NVRAM-resident) and holds
+/// only weights, in DRAM: the base image's array, built once per (image,
+/// seed) and shared by every view over the image
+/// (GraphStorage::SynthesizedWeights), plus, when g has a delta overlay,
+/// weighted copies of its overlaid lists (WeighOverlay, graph/delta.h).
 Graph AddRandomWeights(const Graph& g, uint64_t seed);
 
 }  // namespace sage

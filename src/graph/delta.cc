@@ -32,6 +32,8 @@ uint64_t OverlayNumEdges(const DeltaOverlay& overlay) {
   return overlay.num_edges();
 }
 
+bool OverlayWeighted(const DeltaOverlay& overlay) { return overlay.weighted(); }
+
 uint64_t OverlayDeltaEdges(const DeltaOverlay& overlay) {
   return overlay.delta_edges();
 }
@@ -187,7 +189,10 @@ Result<std::shared_ptr<const DeltaOverlay>> ApplyUpdateBatch(
           " (updates cannot grow the vertex set)");
     }
   }
-  if (prev != nullptr) SAGE_CHECK(prev->num_vertices() == n);
+  const bool weighted = base.weighted();
+  if (prev != nullptr) {
+    SAGE_CHECK(prev->num_vertices() == n && prev->weighted() == weighted);
+  }
 
   // Expand to directed slots in submission order: symmetric graphs apply
   // both directions so the view stays symmetric.
@@ -207,6 +212,7 @@ Result<std::shared_ptr<const DeltaOverlay>> ApplyUpdateBatch(
 
   std::shared_ptr<DeltaOverlay> next(new DeltaOverlay());
   next->n_ = n;
+  next->weighted_ = weighted;
   if (prev != nullptr) {
     // Copy-on-write from the previous overlay: epochs still serving `prev`
     // keep their lists untouched.
@@ -242,7 +248,6 @@ Result<std::shared_ptr<const DeltaOverlay>> ApplyUpdateBatch(
     groups.push_back(Group{i, j, &next->lists_[src], fresh});
     i = j;
   }
-  const bool weighted = base.weighted();
   parallel_for(0, groups.size(), [&](size_t gi) {
     Group& group = groups[gi];
     if (group.fresh) SeedFromBase(base, slots[group.begin].src, *group.list);
@@ -258,6 +263,20 @@ Result<std::shared_ptr<const DeltaOverlay>> ApplyUpdateBatch(
     next->delta_edges_ += group.structural;
   }
   return std::shared_ptr<const DeltaOverlay>(std::move(next));
+}
+
+std::shared_ptr<const DeltaOverlay> WeighOverlay(
+    const DeltaOverlay& overlay,
+    const std::function<weight_t(vertex_id, vertex_id)>& weight) {
+  auto weighted = std::make_shared<DeltaOverlay>(overlay);
+  weighted->weighted_ = true;
+  for (auto& [u, list] : weighted->lists_) {
+    list.weights.resize(list.neighbors.size());
+    for (size_t i = 0; i < list.neighbors.size(); ++i) {
+      list.weights[i] = weight(u, list.neighbors[i]);
+    }
+  }
+  return weighted;
 }
 
 Graph MakeOverlayGraph(const Graph& base,

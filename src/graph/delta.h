@@ -20,8 +20,10 @@
 //     work reads with the same word count the base list would charge, so
 //     the overlay view's PSAM totals stay bit-identical to the compacted
 //     graph while the DRAM/NVRAM split reflects where the bytes live. The
-//     same storage carries AddRandomWeights' DRAM weights over an
-//     overlay-free base, so a weighted run never copies the graph.
+//     same storage carries AddRandomWeights' DRAM weights: the base
+//     image's one synthesized array, shared by every epoch over the image,
+//     plus (on an updated epoch) a WeighOverlay copy whose merged lists
+//     carry their weights. A weighted run never copies the graph.
 //   - FlattenOverlay: materializes the merged CSR (compaction, or any
 //     writer that serializes through the raw spans).
 //
@@ -31,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -136,6 +139,9 @@ class DeltaOverlay {
   /// Vertices whose lists live in DRAM.
   uint64_t touched_vertices() const { return lists_.size(); }
 
+  /// True when the merged lists carry weights.
+  bool weighted() const { return weighted_; }
+
   /// Touched bitset, (n + 63) / 64 words (Graph caches the pointer).
   const std::vector<uint64_t>& touched_bits() const { return touched_bits_; }
 
@@ -145,26 +151,32 @@ class DeltaOverlay {
   friend Result<std::shared_ptr<const DeltaOverlay>> ApplyUpdateBatch(
       const Graph& base, const std::shared_ptr<const DeltaOverlay>& prev,
       std::span<const EdgeUpdate> updates);
+  friend std::shared_ptr<const DeltaOverlay> WeighOverlay(
+      const DeltaOverlay& overlay,
+      const std::function<weight_t(vertex_id, vertex_id)>& weight);
 
   vertex_id n_ = 0;
   std::vector<uint64_t> touched_bits_;
   std::unordered_map<vertex_id, VertexList> lists_;
   uint64_t num_edges_ = 0;
   uint64_t delta_edges_ = 0;
+  bool weighted_ = false;
 };
 
-/// GraphStorage presenting `base` with DRAM state layered over it: either
-/// `overlay` merged into reads (an updated epoch), or `weights` standing in
-/// for the base's weights (AddRandomWeights' view). The offsets, neighbors,
-/// NVRAM residence, and page advice all forward to the base, so the mapped
-/// image is never copied and the prefetch pipeline keeps advising it;
-/// overlaid lists and DRAM weights need no advice. delta_overlay() hands
-/// the overlay (or nullptr) to Graph.
+/// GraphStorage presenting `base` with DRAM state layered over it:
+/// `overlay` merged into reads (an updated epoch), `weights` standing in
+/// for the base's weights (AddRandomWeights' view), or both (the weighted
+/// view of an updated epoch, whose overlay is a WeighOverlay copy). The
+/// offsets, neighbors, NVRAM residence, and page advice all forward to the
+/// base, so the mapped image is never copied and the prefetch pipeline
+/// keeps advising it; overlaid lists and DRAM weights need no advice.
+/// delta_overlay() hands the overlay (or nullptr) to Graph.
 class OverlayGraphStorage final : public GraphStorage {
  public:
-  OverlayGraphStorage(std::shared_ptr<const GraphStorage> base,
-                      std::shared_ptr<const DeltaOverlay> overlay,
-                      std::vector<weight_t> weights = {})
+  OverlayGraphStorage(
+      std::shared_ptr<const GraphStorage> base,
+      std::shared_ptr<const DeltaOverlay> overlay,
+      std::shared_ptr<const std::vector<weight_t>> weights = nullptr)
       : base_(std::move(base)),
         overlay_(std::move(overlay)),
         weights_(std::move(weights)) {
@@ -172,8 +184,11 @@ class OverlayGraphStorage final : public GraphStorage {
     // Overlays never stack: ApplyUpdateBatch folds new updates into the
     // previous overlay instead, so reads stay one merge deep.
     SAGE_CHECK(base_->delta_overlay() == nullptr);
-    // Overlaid lists carry the base's weights, so the two never mix.
-    SAGE_CHECK(overlay_ == nullptr || weights_.empty());
+    SAGE_CHECK(weights_ == nullptr ||
+               weights_->size() == base_->neighbors().size());
+    // Replaced base weights need merged lists weighted the same way.
+    SAGE_CHECK(overlay_ == nullptr || weights_ == nullptr ||
+               overlay_->weighted());
   }
 
   std::span<const edge_offset> offsets() const override {
@@ -183,7 +198,7 @@ class OverlayGraphStorage final : public GraphStorage {
     return base_->neighbors();
   }
   std::span<const weight_t> weights() const override {
-    return weights_.empty() ? base_->weights() : weights_;
+    return weights_ == nullptr ? base_->weights() : *weights_;
   }
   bool nvram_resident() const override { return base_->nvram_resident(); }
   const DeltaOverlay* delta_overlay() const override {
@@ -214,11 +229,15 @@ class OverlayGraphStorage final : public GraphStorage {
   const std::shared_ptr<const DeltaOverlay>& overlay() const {
     return overlay_;
   }
+  /// The weights standing in for the base's (nullptr when they forward).
+  const std::shared_ptr<const std::vector<weight_t>>& shared_weights() const {
+    return weights_;
+  }
 
  private:
   std::shared_ptr<const GraphStorage> base_;
   std::shared_ptr<const DeltaOverlay> overlay_;
-  std::vector<weight_t> weights_;
+  std::shared_ptr<const std::vector<weight_t>> weights_;
 };
 
 /// Builds the overlay resulting from applying `updates` (in order) on top
@@ -230,6 +249,14 @@ class OverlayGraphStorage final : public GraphStorage {
 Result<std::shared_ptr<const DeltaOverlay>> ApplyUpdateBatch(
     const Graph& base, const std::shared_ptr<const DeltaOverlay>& prev,
     std::span<const EdgeUpdate> updates);
+
+/// Copies `overlay` with every merged list (u, v_0..v_k) weighted
+/// weight(u, v_i): the overlay half of a weighted view over an updated
+/// epoch (AddRandomWeights). O(overlaid edges); the copy is weighted even
+/// when `overlay` is not, and existing weights are replaced.
+std::shared_ptr<const DeltaOverlay> WeighOverlay(
+    const DeltaOverlay& overlay,
+    const std::function<weight_t(vertex_id, vertex_id)>& weight);
 
 /// Wraps `base` + `overlay` into a Graph whose accessors read the merged
 /// view (base must be overlay-free and backed by a storage object).

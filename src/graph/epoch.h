@@ -12,7 +12,8 @@
 // it) drops the snapshot. Retirement releases the snapshot's Graph first,
 // so an epoch whose storage was an mmap-ed image unmaps as soon as its
 // last reader finishes - the compaction hot-swap relies on this to drop
-// the pre-compaction mapping under live traffic.
+// the pre-compaction mapping, and the weights synthesized over it for
+// weighted runs, under live traffic.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +41,12 @@ struct GraphSnapshot {
   /// AddRandomWeights(graph, seed) for weighted algorithms on an
   /// unweighted graph, built once and kept for the last seed asked for
   /// (another seed replaces it; holders of the old view keep it alive)
-  /// until the snapshot is released. Thread-safe; the build runs parallel
-  /// work on the shared scheduler.
+  /// until the snapshot is released. The view's base weights are its
+  /// image's one array for the seed, shared with every other epoch over
+  /// the image and released with the image, so only an image's first
+  /// view hashes all m edges; an updated epoch's view weighs just its
+  /// overlaid lists. Thread-safe; the build runs parallel work on the
+  /// shared scheduler.
   std::shared_ptr<const Graph> WeightedView(uint64_t seed) const
       SAGE_EXCLUDES(weighted_mu_);
 

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/thread_annotations.h"
 #include "graph/types.h"
 #include "nvram/execution_context.h"
 #include "parallel/primitives.h"
@@ -56,6 +57,8 @@ OverlayList Find(const DeltaOverlay& overlay, vertex_id v);
 const uint64_t* TouchedBits(const DeltaOverlay& overlay);
 /// Directed edges of the overlay view (base m adjusted by the net delta).
 uint64_t OverlayNumEdges(const DeltaOverlay& overlay);
+/// True when the merged lists carry weights.
+bool OverlayWeighted(const DeltaOverlay& overlay);
 /// Directed edge slots inserted or deleted relative to the base image.
 uint64_t OverlayDeltaEdges(const DeltaOverlay& overlay);
 
@@ -136,6 +139,30 @@ class GraphStorage {
     (void)bytes;
     return 0;
   }
+
+  /// Weights synthesized over this storage's CSR for `seed` (see
+  /// AddRandomWeights, graph/builder.h): `build()` makes the array on the
+  /// first request, and it is kept for the last seed asked for until the
+  /// storage dies. Every epoch over one base image therefore shares one
+  /// array, and a compaction's new image starts its own. Thread-safe:
+  /// concurrent first requests wait for one build.
+  template <typename Build>
+  std::shared_ptr<const std::vector<weight_t>> SynthesizedWeights(
+      uint64_t seed, const Build& build) const
+      SAGE_EXCLUDES(synthesized_mu_) {
+    MutexLock lock(synthesized_mu_);
+    if (synthesized_ == nullptr || synthesized_seed_ != seed) {
+      synthesized_ = std::make_shared<const std::vector<weight_t>>(build());
+      synthesized_seed_ = seed;
+    }
+    return synthesized_;
+  }
+
+ private:
+  mutable Mutex synthesized_mu_;
+  mutable uint64_t synthesized_seed_ SAGE_GUARDED_BY(synthesized_mu_) = 0;
+  mutable std::shared_ptr<const std::vector<weight_t>> synthesized_
+      SAGE_GUARDED_BY(synthesized_mu_);
 };
 
 /// GraphStorage that owns its arrays as std::vectors (the in-memory
@@ -190,9 +217,13 @@ class Graph {
     SAGE_CHECK(offsets_.back() == neighbors_.size());
     SAGE_CHECK(weights_.empty() || weights_.size() == neighbors_.size());
     overlay_ = storage_->delta_overlay();
+    weighted_ = !weights_.empty();
     if (overlay_ != nullptr) {
       overlay_bits_ = internal_overlay::TouchedBits(*overlay_);
       num_edges_ = internal_overlay::OverlayNumEdges(*overlay_);
+      // An edgeless base has an empty weights span even when the merged
+      // lists carry weights.
+      weighted_ = weighted_ || internal_overlay::OverlayWeighted(*overlay_);
     } else {
       num_edges_ = neighbors_.size();
     }
@@ -210,8 +241,8 @@ class Graph {
   /// True if every edge (u,v) has its reverse (v,u) present.
   bool symmetric() const { return symmetric_; }
 
-  /// True if an explicit weight array is stored.
-  bool weighted() const { return !weights_.empty(); }
+  /// True if explicit weights are stored.
+  bool weighted() const { return weighted_; }
 
   /// Average (out-)degree m/n.
   double avg_degree() const {
@@ -400,7 +431,7 @@ class Graph {
   /// Words of a slice of `edges` edges: the offset word, the neighbor
   /// words, and the weight words when present.
   uint64_t ListWords(uint64_t edges) const {
-    return 1 + edges + (weights_.empty() ? 0 : edges);
+    return 1 + edges + (weighted_ ? edges : 0);
   }
 
   /// Keeps the spanned memory alive; shared across copies of the Graph.
@@ -414,6 +445,7 @@ class Graph {
   const uint64_t* overlay_bits_ = nullptr;
   /// Directed edges of the view (== neighbors_.size() without an overlay).
   edge_offset num_edges_ = 0;
+  bool weighted_ = false;
   bool symmetric_ = false;
 };
 

@@ -141,9 +141,9 @@ class Prefetcher {
   bool active() const { return storage_ != nullptr; }
 
   /// True when `g` reads the mapped offsets this pipeline was built over:
-  /// the mapped graph itself, or AddRandomWeights' view of it, which
-  /// shares its offsets and neighbors. An updated epoch's weighted view
-  /// reads a flattened DRAM copy instead, so it is not covered.
+  /// the mapped graph itself, an updated epoch over it, or
+  /// AddRandomWeights' view of either, which shares its offsets and
+  /// neighbors.
   bool Covers(const Graph& g) const {
     return active() && g.raw_offsets().data() == offsets_.data();
   }

@@ -49,7 +49,8 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  // An empty vector's data() may be null, which fwrite must not receive.
+  if (!b.empty()) ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
   std::fclose(f);
 }
 

@@ -2,6 +2,7 @@
 // widest path, betweenness. Each parallel algorithm is validated against a
 // sequential reference on a sweep of generated graphs.
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +181,40 @@ TEST(Traversal, RelaxationKernelsRunDenseOnDirectedGraphs) {
   const auto width = ref::WidestPath(g, 0);
   EXPECT_EQ(WidestPathBF(g, 0, dense), width);
   EXPECT_EQ(WidestPathBucketed(g, 0, dense), width);
+}
+
+// Bucketed widest path bounds its buckets by the heaviest edge out of the
+// source, not the graph's: here the source's edges weigh at most 3 while
+// an edge elsewhere weighs 10, so capacities above 3 must never appear.
+TEST(Traversal, WidestPathSourceEdgesLighterThanGraphMaximum) {
+  Graph g = GraphBuilder::FromWeightedEdges(
+      6, {{0, 1, 2}, {0, 2, 3}, {1, 3, 10}, {2, 3, 1}, {3, 4, 7}, {4, 5, 10}});
+  for (vertex_id src : {0u, 3u}) {
+    const auto expect = ref::WidestPath(g, src);
+    for (const ModeCase& c : kAllModes) {
+      EXPECT_EQ(WidestPathBucketed(g, src, WithMode(c.mode)), expect)
+          << c.name << " from " << src;
+      EXPECT_EQ(WidestPathBF(g, src, WithMode(c.mode)), expect)
+          << c.name << " from " << src;
+    }
+  }
+  const auto from_zero = WidestPathBucketed(g, 0);
+  EXPECT_EQ(from_zero[3], 2u);
+  EXPECT_EQ(from_zero[5], 2u);
+}
+
+// An isolated source has no edge to bound the buckets by: it reaches only
+// itself.
+TEST(Traversal, WidestPathFromIsolatedSource) {
+  Graph g = GraphBuilder::FromWeightedEdges(5, {{0, 1, 4}, {1, 2, 3}});
+  const auto expect = ref::WidestPath(g, 4);
+  for (const ModeCase& c : kAllModes) {
+    EXPECT_EQ(WidestPathBucketed(g, 4, WithMode(c.mode)), expect) << c.name;
+    EXPECT_EQ(WidestPathBF(g, 4, WithMode(c.mode)), expect) << c.name;
+  }
+  const auto got = WidestPathBucketed(g, 4);
+  EXPECT_EQ(got[4], std::numeric_limits<uint64_t>::max());
+  for (vertex_id v = 0; v < 4; ++v) EXPECT_EQ(got[v], 0u) << v;
 }
 
 TEST(Traversal, NoNvramWritesAcrossAllTraversals) {
