@@ -184,8 +184,6 @@ class OverlayGraphStorage final : public GraphStorage {
     // Overlays never stack: ApplyUpdateBatch folds new updates into the
     // previous overlay instead, so reads stay one merge deep.
     SAGE_CHECK(base_->delta_overlay() == nullptr);
-    SAGE_CHECK(weights_ == nullptr ||
-               weights_->size() == base_->neighbors().size());
     // Replaced base weights need merged lists weighted the same way.
     SAGE_CHECK(overlay_ == nullptr || weights_ == nullptr ||
                overlay_->weighted());
