@@ -139,9 +139,8 @@ Graph AddRandomWeights(const Graph& g, uint64_t seed) {
   if (overlay != nullptr) overlay = WeighOverlay(*overlay, weight);
   // Only the weights are new: the view reads the image's own offsets and
   // neighbors.
-  return Graph(std::make_shared<OverlayGraphStorage>(
-                   std::move(base), std::move(overlay), std::move(weights)),
-               g.symmetric());
+  auto view = std::make_shared<OverlayGraphStorage>(base, overlay, weights);
+  return Graph(std::move(view), g.symmetric());
 }
 
 }  // namespace sage

@@ -148,8 +148,7 @@ class GraphStorage {
   /// concurrent first requests wait for one build.
   template <typename Build>
   std::shared_ptr<const std::vector<weight_t>> SynthesizedWeights(
-      uint64_t seed, const Build& build) const
-      SAGE_EXCLUDES(synthesized_mu_) {
+      uint64_t seed, const Build& build) const SAGE_EXCLUDES(synthesized_mu_) {
     MutexLock lock(synthesized_mu_);
     if (synthesized_ == nullptr || synthesized_seed_ != seed) {
       synthesized_ = std::make_shared<const std::vector<weight_t>>(build());

@@ -560,10 +560,10 @@ TEST(EpochWeightedView, OneViewPerSeedReleasedWithItsEpoch) {
 TEST(EpochWeightedView, OverlayViewMatchesWeightedFlatCopy) {
   const Graph base = SharedGraph();
   const vertex_id removed = base.NeighborsUncharged(1)[0];
-  const Graph g = MakeOverlayGraph(
-      base, Apply(base, nullptr,
-                  {EdgeUpdate::Insert(3, 700), EdgeUpdate::Insert(12, 340),
-                   EdgeUpdate::Remove(1, removed)}));
+  auto overlay = Apply(base, nullptr, {EdgeUpdate::Insert(3, 700)});
+  overlay = Apply(base, overlay, {EdgeUpdate::Insert(12, 340)});
+  overlay = Apply(base, overlay, {EdgeUpdate::Remove(1, removed)});
+  const Graph g = MakeOverlayGraph(base, overlay);
   for (uint64_t seed : {7u, 8u}) {
     const Graph view = AddRandomWeights(g, seed);
     EXPECT_TRUE(view.has_overlay());
@@ -575,11 +575,9 @@ TEST(EpochWeightedView, OverlayViewMatchesWeightedFlatCopy) {
 
   const Graph edgeless = GraphBuilder::FromEdges(4, {});
   const Graph grown = MakeOverlayGraph(
-      edgeless, Apply(edgeless, nullptr, {EdgeUpdate::Insert(0, 1),
-                                          EdgeUpdate::Insert(2, 3)}));
-  ExpectSameWeightedEdges(AddRandomWeights(grown, 7),
-                          AddRandomWeights(FlattenOverlay(grown), 7),
-                          "edgeless image");
+      edgeless, Apply(edgeless, nullptr, {EdgeUpdate::Insert(0, 1)}));
+  const Graph flat = AddRandomWeights(FlattenOverlay(grown), 7);
+  ExpectSameWeightedEdges(AddRandomWeights(grown, 7), flat, "edgeless image");
 }
 
 // Epochs over one image share its weights array for a seed and read the
@@ -628,9 +626,8 @@ TEST(EpochWeightedView, CompactionStartsAFreshArrayAndRetiresTheOld) {
   std::shared_ptr<const Graph> fresh = engine.PinSnapshot()->WeightedView(7);
   EXPECT_NE(SharedWeights(*fresh), old_weights.lock())
       << "the new image gets its own array";
-  ExpectSameWeightedEdges(*fresh,
-                          AddRandomWeights(FlattenOverlay(engine.graph()), 7),
-                          "after compaction");
+  const Graph flat = AddRandomWeights(FlattenOverlay(engine.graph()), 7);
+  ExpectSameWeightedEdges(*fresh, flat, "after compaction");
 
   EXPECT_FALSE(old_weights.expired())
       << "a pinned epoch over the old image keeps its array";
