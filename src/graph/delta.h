@@ -107,13 +107,14 @@ class DeltaLog {
 
 /// Immutable DRAM overlay over a base CSR: the merged adjacency lists of
 /// every vertex touched by applied updates, plus a touched bitset for O(1)
-/// membership. Built by ApplyUpdateBatch; shared (read-only) by every
-/// Graph copy of its epoch.
+/// membership. Built by ApplyUpdateBatch (or copied with weights by
+/// WeighOverlay); shared (read-only) by every Graph copy of its epoch.
 class DeltaOverlay {
  public:
   struct VertexList {
     std::vector<vertex_id> neighbors;  // sorted
-    std::vector<weight_t> weights;     // empty iff the graph is unweighted
+    // Sized like neighbors when the overlay is weighted(), else empty.
+    std::vector<weight_t> weights;
   };
 
   vertex_id num_vertices() const { return n_; }
