@@ -1,16 +1,22 @@
 // (2+eps)-approximate densest subgraph via parallel threshold peeling
 // (Section 4.3.4; Bahmani et al. style, matching Charikar's sequential
 // 2-approximation quality for small eps). Each round removes every vertex
-// of degree <= 2(1+eps) * current density, using the dense histogram
-// optimization to aggregate degree updates. O(log n) rounds; PSAM: O(m)
-// work, O(log^2 n) depth, O(n) words.
+// of degree <= 2(1+eps) * current density and counts the live neighbors'
+// losses with the neighbor histogram into one n-word counter array that
+// lives for the whole run: a relaxed fetch-and-add per edge for a small
+// frontier, the dense O(n + m) scan when the frontier's |U| + deg(U)
+// exceeds m/20 (the early rounds peel most of the graph, and the dense
+// scan keeps them free of atomics). O(log n) rounds; PSAM: O(m) work,
+// O(log^2 n) depth, O(n) words.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "core/histogram.h"
 #include "core/vertex_subset.h"
 #include "graph/types.h"
+#include "nvram/memory_tracker.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 
@@ -33,6 +39,9 @@ DensestSubgraphResult ApproxDensestSubgraph(const GraphT& g,
   const vertex_id n = g.num_vertices();
   std::vector<uint32_t> degree(n);
   std::vector<uint32_t> removed_round(n, 0);  // 0 = still alive
+  // The neighbor histogram's counters: zero between rounds.
+  std::vector<uint32_t> lost(n, 0);
+  nvram::TrackedAllocation lost_words(size_t{n} * sizeof(uint32_t));
   parallel_for(0, n, [&](size_t v) {
     degree[v] = g.degree_uncharged(static_cast<vertex_id>(v));
   });
@@ -61,12 +70,14 @@ DensestSubgraphResult ApproxDensestSubgraph(const GraphT& g,
                  [&](size_t i) { removed_round[peel[i]] = round; });
     live_vertices -= peel.size();
     nvram::Cost().ChargeWorkWrite(peel.size());
-    // Aggregate neighbor decrements (dense histogram when frontier large).
+    // Count the live neighbors' losses, then apply and zero each count.
     auto frontier = VertexSubset::Sparse(n, std::move(peel));
-    auto hist = NeighborHistogram(
-        g, frontier, [&](vertex_id u) { return removed_round[u] == 0; });
-    parallel_for(0, hist.size(), [&](size_t i) {
-      auto [u, cnt] = hist[i];
+    const auto listed = NeighborHistogram(
+        g, frontier, [&](vertex_id u) { return removed_round[u] == 0; },
+        lost);
+    parallel_for(0, listed.size(), [&](size_t i) {
+      const vertex_id u = listed[i];
+      const uint32_t cnt = std::exchange(lost[u], 0);
       degree[u] = degree[u] >= cnt ? degree[u] - cnt : 0;
     });
     // Recompute the live degree sum (O(n) per round, O(n log n) total).

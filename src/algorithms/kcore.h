@@ -1,25 +1,30 @@
 // k-core decomposition (coreness of every vertex) via Julienne-style
 // bucketed peeling (Section 4.3.4). Vertices are bucketed by induced
-// degree; the minimum bucket is peeled, and neighbor degree decrements are
-// aggregated with the histogram primitive (a sparse semisort or a dense
-// O(m) scan, chosen by frontier size) instead of fetch-and-add, then moved
-// to their new buckets in one parallel placement. PSAM: O(m) expected work
-// (each edge is gathered and counted O(1) times in expectation, each
-// degree change placed once) and O(n) words of DRAM. The depth is not the
-// paper's O(rho log n) whp (rho = peeling complexity): parts of a round run
-// sequentially in its size. One task counts each semisort bucket, and all
-// copies of a key land in the same bucket, so a vertex that loses d
-// neighbors in a round is counted in d sequential steps. The prefix sums
-// over the partitions' count matrices (up to k/8 entries for k gathered
-// keys) and the extraction of a bucket are sequential passes too.
+// degree; the minimum bucket is peeled, and each round counts its live
+// neighbors' losses with the neighbor histogram: a relaxed fetch-and-add
+// into one n-word counter array that lives for the whole run (or, for a
+// frontier above m/20, a dense O(n + m) scan into the same array). The
+// moved vertices are then placed in their new buckets in one parallel
+// pass, whose bucket(i) functor applies each vertex's count to its degree
+// and zeroes the count. PSAM: O(m) work (each edge is gathered and counted
+// O(1) times, each degree change placed once) and O(n) words of DRAM. The
+// depth is not the paper's O(rho log n) whp (rho = peeling complexity):
+// parts of a round run sequentially in its size. A vertex that loses d
+// neighbors in a round is counted in d sequential steps on its counter,
+// and the prefix sums over the placement's count matrix (up to k/8
+// entries for k moved vertices) and the extraction of a bucket are
+// sequential passes too.
 #pragma once
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/bucketing.h"
 #include "core/histogram.h"
 #include "core/vertex_subset.h"
 #include "graph/types.h"
+#include "nvram/memory_tracker.h"
 #include "parallel/parallel.h"
 #include "parallel/primitives.h"
 
@@ -44,6 +49,9 @@ KCoreResult KCore(const GraphT& g) {
     degree[v] = g.degree_uncharged(static_cast<vertex_id>(v));
   });
   std::vector<uint8_t> peeled(n, 0);
+  // The neighbor histogram's counters: zero between rounds.
+  std::vector<uint32_t> lost(n, 0);
+  nvram::TrackedAllocation lost_words(size_t{n} * sizeof(uint32_t));
   Buckets buckets(
       n, [&](vertex_id v) { return degree[v]; }, BucketOrder::kIncreasing);
 
@@ -61,19 +69,19 @@ KCoreResult KCore(const GraphT& g) {
       peeled[peel[i]] = 1;
     });
     nvram::Cost().ChargeWorkWrite(2 * peel.size());
-    // Aggregate degree decrements for live neighbors of the peeled set.
-    auto frontier = VertexSubset::Sparse(n, std::vector<vertex_id>(peel));
-    auto hist = NeighborHistogram(
-        g, frontier, [&](vertex_id u) { return peeled[u] == 0; });
-    std::vector<std::pair<vertex_id, bucket_id>> updates(hist.size());
-    parallel_for(0, hist.size(), [&](size_t i) {
-      auto [u, cnt] = hist[i];
-      uint32_t nd = degree[u] >= cnt ? degree[u] - cnt : 0;
-      nd = std::max(nd, k);  // coreness is at least the current k
-      degree[u] = nd;
-      updates[i] = {u, nd};
-    });
-    buckets.UpdateBuckets(updates);
+    // Count the live neighbors' losses, then apply each one as its vertex
+    // is placed: coreness is at least the current k.
+    auto frontier = VertexSubset::Sparse(n, std::move(bkt.vertices));
+    const auto moved = NeighborHistogram(
+        g, frontier, [&](vertex_id u) { return peeled[u] == 0; }, lost);
+    buckets.UpdateBuckets(
+        moved.size(), [&](size_t i) { return moved[i]; },
+        [&](size_t i) {
+          const vertex_id u = moved[i];
+          const uint32_t cnt = std::exchange(lost[u], 0);
+          degree[u] = std::max(degree[u] >= cnt ? degree[u] - cnt : 0u, k);
+          return degree[u];
+        });
   }
   result.max_core = k;
   return result;

@@ -29,13 +29,15 @@ struct MatchEdge {
   uint64_t key;  // unique priority
 };
 
+/// Reservation of a vertex no edge holds; no edge's key equals it.
+inline constexpr uint64_t kFreeReservation = ~0ULL;
+
 /// Matches a batch of candidate edges; appends matched edges to `out` and
 /// sets matched[] for their endpoints. Runs until the batch is exhausted.
 inline void MatchBatch(std::vector<MatchEdge> batch,
                        std::vector<std::atomic<uint64_t>>& reserve,
                        std::vector<std::atomic<uint8_t>>& matched,
                        std::vector<std::pair<vertex_id, vertex_id>>& out) {
-  constexpr uint64_t kFree = ~0ULL;
   while (!batch.empty()) {
     // Reservation: every live edge write-mins its key at both endpoints.
     parallel_for(0, batch.size(), [&](size_t i) {
@@ -58,8 +60,8 @@ inline void MatchBatch(std::vector<MatchEdge> batch,
     for (auto& w : won) out.insert(out.end(), w.begin(), w.end());
     // Drop edges with a matched endpoint and reset reservations.
     parallel_for(0, batch.size(), [&](size_t i) {
-      reserve[batch[i].u].store(kFree, std::memory_order_relaxed);
-      reserve[batch[i].v].store(kFree, std::memory_order_relaxed);
+      reserve[batch[i].u].store(kFreeReservation, std::memory_order_relaxed);
+      reserve[batch[i].v].store(kFreeReservation, std::memory_order_relaxed);
     });
     batch = filter(batch, [&](const MatchEdge& e) {
       return matched[e.u].load(std::memory_order_relaxed) == 0 &&
@@ -80,10 +82,9 @@ std::vector<std::pair<vertex_id, vertex_id>> MaximalMatching(
   std::vector<std::atomic<uint64_t>> reserve(n);
   parallel_for(0, n, [&](size_t v) {
     matched[v].store(0, std::memory_order_relaxed);
-    reserve[v].store(~0ULL, std::memory_order_relaxed);
+    reserve[v].store(internal::kFreeReservation, std::memory_order_relaxed);
   });
   std::vector<std::pair<vertex_id, vertex_id>> out;
-  Random rng(seed);
 
   const uint64_t budget = 4 * static_cast<uint64_t>(n) + 64;
   vertex_id window_start = 0;
@@ -96,7 +97,10 @@ std::vector<std::pair<vertex_id, vertex_id>> MaximalMatching(
     uint64_t taken = 0;
     vertex_id v = window_start;
     vertex_id scanned = 0;
-    std::atomic<uint64_t> key_salt{round << 40};
+    // Keys are one fixed random order of the round's edges: Hash64 is a
+    // bijection and a * n + b names one edge, so keys are unique within the
+    // round and do not depend on the schedule.
+    const uint64_t round_salt = Hash64(seed ^ (round << 40));
     while (scanned < n && taken < budget) {
       vertex_id chunk_end =
           static_cast<vertex_id>(std::min<uint64_t>(n, scanned + 8192));
@@ -106,11 +110,12 @@ std::vector<std::pair<vertex_id, vertex_id>> MaximalMatching(
         if (matched[w].load(std::memory_order_relaxed)) return;
         gf.MapActive(w, [&](vertex_id a, vertex_id b) {
           if (a < b && matched[b].load(std::memory_order_relaxed) == 0) {
-            // Keys are unique within a round: random high bits for priority,
-            // a per-round counter in the low bits as tiebreak.
-            uint64_t salt = key_salt.fetch_add(1, std::memory_order_relaxed);
-            uint64_t key = ((Hash64(seed ^ salt) & 0x7FFFFFFFULL) << 32) |
-                           (salt & 0xFFFFFFFFULL);
+            uint64_t key = Hash64(round_salt ^ (uint64_t{a} * n + b));
+            // a * n + b < n * n never names ~0, so its key is free to stand
+            // in for the one that hits the free marker.
+            if (key == internal::kFreeReservation) {
+              key = Hash64(round_salt ^ ~0ULL);
+            }
             local[shard_id()].push_back({a, b, key});
           }
         });

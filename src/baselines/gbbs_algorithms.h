@@ -69,7 +69,7 @@ inline std::vector<std::pair<vertex_id, vertex_id>> GbbsMaximalMatching(
   std::vector<std::atomic<uint64_t>> reserve(n);
   parallel_for(0, n, [&](size_t v) {
     matched[v].store(0, std::memory_order_relaxed);
-    reserve[v].store(~0ULL, std::memory_order_relaxed);
+    reserve[v].store(internal::kFreeReservation, std::memory_order_relaxed);
   });
   std::vector<std::pair<vertex_id, vertex_id>> out;
   uint64_t remaining = pg.num_edges();

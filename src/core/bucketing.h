@@ -11,8 +11,11 @@
 // prefix-summed, and the vertices are scattered (internal::BlockedPartition).
 // The constructor, the overflow refill and UpdateBuckets all place through
 // this one routine, which requires the vertex ids of a batch to be
-// distinct. Extraction takes a bucket's live members out in one sequential
-// pass.
+// distinct. UpdateBuckets takes its batch as vertex(i) / bucket(i)
+// functors, called during placement, so a caller can compute each new
+// bucket there (k-core applies a round's degree losses this way) instead
+// of building a pairs vector first. Extraction takes a bucket's live
+// members out in one sequential pass.
 //
 // PSAM compliance: Julienne's fully lazy deletion can leave O(#updates) =
 // O(m) stale entries resident. Here every vertex records its current bucket
@@ -120,32 +123,41 @@ class Buckets {
   /// Returns the bucket v currently belongs to (kNullBucket if none).
   bucket_id BucketOf(vertex_id v) const { return vtx_bucket_[v]; }
 
-  /// Moves each (vertex, bucket) to its new bucket. A target below the
-  /// current priority is clamped to the current bucket window (matching
-  /// Julienne: priorities only advance). kNullBucket removes the vertex.
-  /// The vertex ids of one batch must be distinct.
-  void UpdateBuckets(
-      const std::vector<std::pair<vertex_id, bucket_id>>& updates) {
-    SAGE_DCHECK(DistinctVertices(updates));
+  /// Moves vertex(i) to bucket bucket(i), for each i in [0, k). A target
+  /// below the current priority is clamped to the current bucket window
+  /// (matching Julienne: priorities only advance). kNullBucket removes the
+  /// vertex. bucket(i) is called once per i, possibly in parallel, so it
+  /// may compute the new bucket from the vertex's state and update that
+  /// state. The vertices of one batch must be distinct.
+  template <typename VertexF, typename BucketF>
+  void UpdateBuckets(size_t k, const VertexF& vertex, const BucketF& bucket) {
+    SAGE_DCHECK(DistinctVertices(k, vertex));
     const bucket_id floor_key =
         cur_base_ + static_cast<bucket_id>(cur_offset_);
     // A vertex gets a new entry unless it leaves (lazy removal) or the
     // entry it has still finds it: same bucket, or overflow to overflow.
-    Place(
-        updates.size(), [&](size_t i) { return updates[i].first; },
-        [&](size_t i) {
-          auto [v, b] = updates[i];
-          const bucket_id old = vtx_bucket_[v];
-          if (b != kNullBucket && Key(b) < floor_key) b = Unkey(floor_key);
-          vtx_bucket_[v] = b;
-          if (b == kNullBucket) return kNullBucket;
-          const bool keeps_entry =
-              old != kNullBucket &&
-              (old == b || (Dest(old) == num_open_ && Dest(b) == num_open_));
-          return keeps_entry ? kNullBucket : b;
-        });
-    nvram::Cost().ChargeWorkWrite(updates.size());
+    Place(k, vertex, [&](size_t i) {
+      const vertex_id v = vertex(i);
+      bucket_id b = bucket(i);
+      const bucket_id old = vtx_bucket_[v];
+      if (b != kNullBucket && Key(b) < floor_key) b = Unkey(floor_key);
+      vtx_bucket_[v] = b;
+      if (b == kNullBucket) return kNullBucket;
+      const bool keeps_entry =
+          old != kNullBucket &&
+          (old == b || (Dest(old) == num_open_ && Dest(b) == num_open_));
+      return keeps_entry ? kNullBucket : b;
+    });
+    nvram::Cost().ChargeWorkWrite(k);
     MaybeCompact();
+  }
+
+  /// UpdateBuckets over (vertex, bucket) pairs.
+  void UpdateBuckets(
+      const std::vector<std::pair<vertex_id, bucket_id>>& updates) {
+    UpdateBuckets(
+        updates.size(), [&](size_t i) { return updates[i].first; },
+        [&](size_t i) { return updates[i].second; });
   }
 
   /// Total entries currently stored (live + stale), for memory tests.
@@ -178,10 +190,10 @@ class Buckets {
     return d < num_open_ ? open_[d] : overflow_;
   }
 
-  static bool DistinctVertices(
-      const std::vector<std::pair<vertex_id, bucket_id>>& updates) {
-    std::vector<vertex_id> ids(updates.size());
-    for (size_t i = 0; i < updates.size(); ++i) ids[i] = updates[i].first;
+  template <typename VertexF>
+  static bool DistinctVertices(size_t k, const VertexF& vertex) {
+    std::vector<vertex_id> ids(k);
+    for (size_t i = 0; i < k; ++i) ids[i] = vertex(i);
     std::sort(ids.begin(), ids.end());
     return std::adjacent_find(ids.begin(), ids.end()) == ids.end();
   }

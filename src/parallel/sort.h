@@ -2,7 +2,7 @@
 // for small key ranges, and sort-derived utilities (deduplication, random
 // permutation). Used by graph building and several algorithms (maximal
 // matching, connectivity contraction). The blocked partition behind the
-// counting sort also drives the histogram's semisort and bucket placement.
+// counting sort also drives bucket placement.
 #pragma once
 
 #include <algorithm>

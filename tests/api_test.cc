@@ -145,15 +145,20 @@ TEST(AlgorithmRegistry, RejectsBadRegistrations) {
     return AlgoOutput{};
   };
   auto digest = [](const AlgoOutput&) { return std::string("x"); };
-  EXPECT_EQ(reg.Register({.name = "Not-Kebab"}, noop, digest).code(),
+  auto named = [](const char* name) {
+    AlgorithmInfo info;
+    info.name = name;
+    return info;
+  };
+  EXPECT_EQ(reg.Register(named("Not-Kebab"), noop, digest).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(reg.Register({.name = "double--dash"}, noop, digest).code(),
+  EXPECT_EQ(reg.Register(named("double--dash"), noop, digest).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(reg.Register({.name = "bfs"}, noop, digest).code(),
+  EXPECT_EQ(reg.Register(named("bfs"), noop, digest).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(reg.Register({.name = "no-runner"}, nullptr, digest).code(),
+  EXPECT_EQ(reg.Register(named("no-runner"), nullptr, digest).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(reg.Register({.name = "no-digest"}, noop, nullptr).code(),
+  EXPECT_EQ(reg.Register(named("no-digest"), noop, nullptr).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(reg.size(), 18u);
 }

@@ -50,7 +50,9 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   // An empty vector's data() may be null, which fwrite must not receive.
-  if (!b.empty()) ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  if (!b.empty()) {
+    ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
+  }
   std::fclose(f);
 }
 

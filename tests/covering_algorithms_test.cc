@@ -13,6 +13,8 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
+#include "nvram/execution_context.h"
+#include "parallel/scheduler.h"
 
 namespace sage {
 namespace {
@@ -98,6 +100,39 @@ TEST(MaximalMatching, PathAlternates) {
   // A maximal matching on P_100 has between 34 and 50 edges.
   EXPECT_GE(matching.size(), 34u);
   EXPECT_LE(matching.size(), 50u);
+}
+
+/// The eight PSAM counters of `t`, for whole-record comparison.
+std::vector<uint64_t> Counters(const nvram::CostTotals& t) {
+  return {t.dram_reads,           t.dram_writes,
+          t.nvram_reads,          t.nvram_writes,
+          t.nvram_prefetch_reads, t.remote_nvram_accesses,
+          t.memory_mode_hits,     t.memory_mode_misses};
+}
+
+TEST(MaximalMatching, SameMatchingAndCountersAtEveryWidth) {
+  // Each candidate edge's priority is a hash of the seed, the round and
+  // the edge, so the matching and every charge are the same at any width.
+  Graph g = RmatGraph(12, 60000, 21);
+  std::vector<std::pair<vertex_id, vertex_id>> matching_w1;
+  std::vector<uint64_t> cost_w1;
+  for (int width : {1, 2, 4, 8}) {
+    SCOPED_TRACE(width);
+    Scheduler::Reset(width);
+    nvram::CostScope scope;
+    auto matching = MaximalMatching(g, 5);
+    const auto cost = Counters(scope.Delta());
+    ASSERT_TRUE(ref::IsMaximalMatching(g, matching));
+    std::sort(matching.begin(), matching.end());
+    if (width == 1) {
+      matching_w1 = std::move(matching);
+      cost_w1 = cost;
+      continue;
+    }
+    EXPECT_EQ(matching, matching_w1);
+    EXPECT_EQ(cost, cost_w1);
+  }
+  Scheduler::Reset(0);
 }
 
 TEST(Coloring, BipartiteGridUsesFewColors) {

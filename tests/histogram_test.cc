@@ -1,6 +1,5 @@
-// Tests for the histogram primitive (sparse semisort and dense paths).
+// Tests for the neighbor histogram (sparse fetch-and-add and dense paths).
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <vector>
 
@@ -13,162 +12,76 @@
 namespace sage {
 namespace {
 
-TEST(HistogramKeys, CountsOccurrences) {
-  std::vector<vertex_id> keys{3, 1, 3, 3, 7, 1};
-  auto h = HistogramKeys(keys);
-  std::sort(h.begin(), h.end());  // the semisort's order is unspecified
-  ASSERT_EQ(h.size(), 3u);
-  EXPECT_EQ(h[0], (std::pair<vertex_id, uint32_t>{1, 2}));
-  EXPECT_EQ(h[1], (std::pair<vertex_id, uint32_t>{3, 3}));
-  EXPECT_EQ(h[2], (std::pair<vertex_id, uint32_t>{7, 1}));
-}
-
-TEST(HistogramKeys, EmptyInput) {
-  EXPECT_TRUE(HistogramKeys({}).empty());
-}
-
-TEST(HistogramKeys, LargeRandomMatchesMap) {
-  Rng rng(3);
-  std::vector<vertex_id> keys(100000);
-  std::map<vertex_id, uint32_t> expect;
-  for (auto& k : keys) {
-    k = static_cast<vertex_id>(rng.Next(500));
-    expect[k]++;
-  }
-  auto h = HistogramKeys(keys);
-  ASSERT_EQ(h.size(), expect.size());
-  for (auto [k, c] : h) ASSERT_EQ(c, expect[k]);
-}
-
-/// Expects `h` to hold exactly the (key, count) pairs of the keys other
-/// than kNoVertex, each key once.
-void ExpectMatchesMap(const std::vector<vertex_id>& keys,
-                      const std::vector<std::pair<vertex_id, uint32_t>>& h) {
-  std::map<vertex_id, uint32_t> expect;
-  for (vertex_id k : keys) {
-    if (k != kNoVertex) expect[k]++;
-  }
-  ASSERT_EQ(h.size(), expect.size());
-  std::map<vertex_id, uint32_t> got;
-  for (auto [k, c] : h) {
-    ASSERT_TRUE(got.emplace(k, c).second) << "key " << k << " repeated";
-  }
-  EXPECT_EQ(got, expect);
-}
-
-/// Semisort inputs: below and above one bucket, heavy and skewed keys,
-/// dead keys only, and nothing at all.
-std::vector<std::vector<vertex_id>> SemisortInputs() {
-  std::vector<std::vector<vertex_id>> inputs;
-  // All-distinct keys (a permutation-like stride), one bucket and many.
-  for (size_t k : {1000u, 300000u}) {
-    std::vector<vertex_id> keys(k);
-    for (size_t i = 0; i < k; ++i) {
-      keys[i] = static_cast<vertex_id>((i * 7919) % k);
-    }
-    inputs.push_back(std::move(keys));
-  }
-  // One key repeated 10^6 times: a single bucket holds every key.
-  inputs.push_back(std::vector<vertex_id>(1000000, 42));
-  // Zipf(1.2)-skewed keys over 10^5 ranks, with dead keys mixed in.
-  {
-    const size_t ranks = 100000;
-    std::vector<double> cdf(ranks);
-    double total = 0;
-    for (size_t r = 0; r < ranks; ++r) {
-      total += 1.0 / std::pow(static_cast<double>(r + 1), 1.2);
-      cdf[r] = total;
-    }
-    Rng rng(17);
-    std::vector<vertex_id> keys(400000);
-    for (auto& key : keys) {
-      if (rng.Next(10) == 0) {
-        key = kNoVertex;
-        continue;
-      }
-      double u = rng.NextDouble() * total;
-      size_t r = std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin();
-      key = static_cast<vertex_id>(std::min(r, ranks - 1) * 2654435761u);
-    }
-    inputs.push_back(std::move(keys));
-  }
-  // Only dead keys, below and above one bucket.
-  inputs.push_back(std::vector<vertex_id>(100, kNoVertex));
-  inputs.push_back(std::vector<vertex_id>(50000, kNoVertex));
-  inputs.push_back({});
-  return inputs;
-}
-
-TEST(HistogramKeys, SemisortMatchesMap) {
-  for (const auto& keys : SemisortInputs()) {
-    SCOPED_TRACE(keys.size());
-    ExpectMatchesMap(keys, HistogramKeys(keys));
-  }
-}
-
-TEST(HistogramKeys, ChargesDoNotDependOnWidth) {
-  // Charges are a function of the key counts alone, so every width charges
-  // the same words (the partitioned inputs span several blocks at every
-  // width).
-  for (const auto& keys : SemisortInputs()) {
-    SCOPED_TRACE(keys.size());
-    std::vector<nvram::CostTotals> totals;
-    for (int width : {1, 2, 4}) {
-      Scheduler::Reset(width);
-      nvram::CostScope scope;
-      auto h = HistogramKeys(keys);
-      totals.push_back(scope.Delta());
-    }
-    for (const auto& t : totals) {
-      EXPECT_EQ(t.dram_reads, totals[0].dram_reads);
-      EXPECT_EQ(t.dram_writes, totals[0].dram_writes);
-      EXPECT_EQ(t.nvram_reads, totals[0].nvram_reads);
-      EXPECT_EQ(t.nvram_writes, totals[0].nvram_writes);
-    }
-    if (!keys.empty()) EXPECT_GT(totals[0].dram_reads, 0u);
-  }
-  Scheduler::Reset(0);
-}
-
-/// Reference: per-vertex count of frontier neighbors.
+/// Reference: per-vertex count of frontier neighbors v with pred(v).
+template <typename Pred>
 std::map<vertex_id, uint32_t> ReferenceNeighborCounts(
-    const Graph& g, const std::vector<vertex_id>& frontier) {
+    const Graph& g, const std::vector<vertex_id>& frontier, const Pred& pred) {
   std::map<vertex_id, uint32_t> counts;
   for (vertex_id u : frontier) {
-    for (vertex_id v : g.NeighborsUncharged(u)) counts[v]++;
+    for (vertex_id v : g.NeighborsUncharged(u)) {
+      if (pred(v)) counts[v]++;
+    }
   }
   return counts;
 }
 
-TEST(NeighborHistogram, SparseAndDensePathsAgree) {
-  Graph g = RmatGraph(10, 15000, 5);
+std::map<vertex_id, uint32_t> ReferenceNeighborCounts(
+    const Graph& g, const std::vector<vertex_id>& frontier) {
+  return ReferenceNeighborCounts(g, frontier, [](vertex_id) { return true; });
+}
+
+/// Takes the listed counts the way a caller does (reads and zeroes each),
+/// expecting every listed vertex once and the array all-zero afterwards.
+std::map<vertex_id, uint32_t> TakeCounts(const std::vector<vertex_id>& listed,
+                                         std::vector<uint32_t>& counts) {
+  std::map<vertex_id, uint32_t> got;
+  for (vertex_id v : listed) {
+    EXPECT_TRUE(got.emplace(v, counts[v]).second) << "vertex " << v
+                                                  << " listed twice";
+    counts[v] = 0;
+  }
+  EXPECT_TRUE(std::all_of(counts.begin(), counts.end(),
+                          [](uint32_t c) { return c == 0; }));
+  return got;
+}
+
+/// Every third vertex of g.
+std::vector<vertex_id> EveryThird(const Graph& g) {
   std::vector<vertex_id> members;
   for (vertex_id v = 0; v < g.num_vertices(); v += 3) members.push_back(v);
-  auto expect = ReferenceNeighborCounts(g, members);
+  return members;
+}
+
+TEST(NeighborHistogram, SparseAndDensePathsListEachCountedVertexOnce) {
+  Graph g = RmatGraph(10, 15000, 5);
+  const auto members = EveryThird(g);
+  const auto expect = ReferenceNeighborCounts(g, members);
+  std::vector<uint32_t> counts(g.num_vertices(), 0);
 
   auto sparse_frontier = VertexSubset::Sparse(g.num_vertices(),
                                               std::vector<vertex_id>(members));
-  auto sparse = SparseNeighborHistogram(g, sparse_frontier,
-                                        [](vertex_id) { return true; });
-  ASSERT_EQ(sparse.size(), expect.size());
-  for (auto [v, c] : sparse) ASSERT_EQ(c, expect[v]) << v;
+  auto sparse = SparseNeighborHistogram(
+      g, sparse_frontier, [](vertex_id) { return true; }, counts);
+  EXPECT_EQ(TakeCounts(sparse, counts), expect);
 
   auto dense_frontier = VertexSubset::Sparse(g.num_vertices(),
                                              std::vector<vertex_id>(members));
   dense_frontier.ToDense();
-  auto dense = DenseNeighborHistogram(g, dense_frontier,
-                                      [](vertex_id) { return true; });
-  ASSERT_EQ(dense.size(), expect.size());
-  for (auto [v, c] : dense) ASSERT_EQ(c, expect[v]) << v;
+  auto dense = DenseNeighborHistogram(
+      g, dense_frontier, [](vertex_id) { return true; }, counts);
+  EXPECT_TRUE(std::is_sorted(dense.begin(), dense.end()));
+  EXPECT_EQ(TakeCounts(dense, counts), expect);
 }
 
 TEST(NeighborHistogram, PredicateFiltersTargets) {
   Graph g = CompleteGraph(30);
+  std::vector<uint32_t> counts(30, 0);
   auto frontier = VertexSubset::Sparse(30, {0, 1, 2});
-  auto h = SparseNeighborHistogram(g, frontier,
-                                   [](vertex_id v) { return v >= 20; });
-  ASSERT_EQ(h.size(), 10u);
-  for (auto [v, c] : h) {
+  auto listed = SparseNeighborHistogram(
+      g, frontier, [](vertex_id v) { return v >= 20; }, counts);
+  auto got = TakeCounts(listed, counts);
+  ASSERT_EQ(got.size(), 10u);
+  for (auto [v, c] : got) {
     EXPECT_GE(v, 20u);
     EXPECT_EQ(c, 3u);  // each of 0,1,2 is adjacent to v
   }
@@ -176,14 +89,80 @@ TEST(NeighborHistogram, PredicateFiltersTargets) {
 
 TEST(NeighborHistogram, AutoSelectsAndMatchesReference) {
   Graph g = RmatGraph(9, 10000, 8);
+  std::vector<uint32_t> counts(g.num_vertices(), 0);
   // Large frontier -> dense path.
   std::vector<vertex_id> all;
   for (vertex_id v = 0; v < g.num_vertices(); ++v) all.push_back(v);
-  auto expect = ReferenceNeighborCounts(g, all);
   auto frontier = VertexSubset::All(g.num_vertices());
-  auto h = NeighborHistogram(g, frontier, [](vertex_id) { return true; });
-  ASSERT_EQ(h.size(), expect.size());
-  for (auto [v, c] : h) ASSERT_EQ(c, expect[v]);
+  auto listed =
+      NeighborHistogram(g, frontier, [](vertex_id) { return true; }, counts);
+  EXPECT_TRUE(frontier.is_dense());
+  EXPECT_EQ(TakeCounts(listed, counts), ReferenceNeighborCounts(g, all));
+  // Two vertices -> sparse path, reusing the zeroed array.
+  const std::vector<vertex_id> few{0, 1};
+  auto small = VertexSubset::Sparse(g.num_vertices(), {0, 1});
+  listed =
+      NeighborHistogram(g, small, [](vertex_id) { return true; }, counts);
+  EXPECT_FALSE(small.is_dense());
+  EXPECT_EQ(TakeCounts(listed, counts), ReferenceNeighborCounts(g, few));
+}
+
+TEST(NeighborHistogram, RoundsReuseTheArrayAndChargeAlikeAtEveryWidth) {
+  // Peeling-style rounds over one array: each round's frontier is the next
+  // third of the vertices, counted only into vertices not yet peeled; then
+  // one sparse round. Every width lists the same vertices with the same
+  // counts and charges the same words, on both paths.
+  Graph g = RmatGraph(11, 40000, 9);
+  const vertex_id n = g.num_vertices();
+  std::vector<std::map<vertex_id, uint32_t>> first_width;
+  nvram::CostTotals first_totals;
+  for (int width : {1, 2, 4}) {
+    SCOPED_TRACE(width);
+    Scheduler::Reset(width);
+    std::vector<uint32_t> counts(n, 0);
+    std::vector<uint8_t> peeled(n, 0);
+    std::vector<std::map<vertex_id, uint32_t>> rounds;
+    nvram::CostScope scope;
+    // Each third of an RMAT graph's vertices is above m/20: dense path.
+    for (vertex_id lo : {vertex_id{0}, n / 3, 2 * n / 3}) {
+      std::vector<vertex_id> members;
+      for (vertex_id v = lo; v < std::min(n, lo + n / 3 + 1); ++v) {
+        if (!peeled[v]) members.push_back(v);
+      }
+      for (vertex_id v : members) peeled[v] = 1;
+      auto live = [&](vertex_id v) { return peeled[v] == 0; };
+      auto frontier = VertexSubset::Sparse(n, std::vector<vertex_id>(members));
+      auto listed = NeighborHistogram(g, frontier, live, counts);
+      EXPECT_TRUE(frontier.is_dense());
+      rounds.push_back(TakeCounts(listed, counts));
+      EXPECT_EQ(rounds.back(), ReferenceNeighborCounts(g, members, live));
+    }
+    // Up to 600 vertices of degree 1 to 3: below m/20, so the sparse path,
+    // yet several tasks at width > 1, most of them adding to the hubs.
+    std::vector<vertex_id> low;
+    for (vertex_id v = 0; v < n && low.size() < 600; ++v) {
+      const uint32_t d = g.degree_uncharged(v);
+      if (d >= 1 && d <= 3) low.push_back(v);
+    }
+    auto sparse = VertexSubset::Sparse(n, std::vector<vertex_id>(low));
+    auto listed = NeighborHistogram(
+        g, sparse, [](vertex_id) { return true; }, counts);
+    EXPECT_FALSE(sparse.is_dense());
+    rounds.push_back(TakeCounts(listed, counts));
+    EXPECT_EQ(rounds.back(), ReferenceNeighborCounts(g, low));
+    const nvram::CostTotals totals = scope.Delta();
+    if (width == 1) {
+      first_width = rounds;
+      first_totals = totals;
+      continue;
+    }
+    EXPECT_EQ(rounds, first_width);
+    EXPECT_EQ(totals.dram_reads, first_totals.dram_reads);
+    EXPECT_EQ(totals.dram_writes, first_totals.dram_writes);
+    EXPECT_EQ(totals.nvram_reads, first_totals.nvram_reads);
+    EXPECT_EQ(totals.nvram_writes, first_totals.nvram_writes);
+  }
+  Scheduler::Reset(0);
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include "graph/builder.h"
 #include "graph/compressed_graph.h"
 #include "graph/generators.h"
+#include "nvram/execution_context.h"
+#include "parallel/scheduler.h"
 
 namespace sage {
 namespace {
@@ -69,6 +71,50 @@ TEST_P(SubstructureGraphs, DensestSubgraphApproximationHolds) {
   double actual = static_cast<double>(internal) / 2.0 /
                   static_cast<double>(result.members.size());
   EXPECT_NEAR(actual, result.density, 1e-9);
+}
+
+/// The eight PSAM counters of `t`, for whole-record comparison.
+std::vector<uint64_t> Counters(const nvram::CostTotals& t) {
+  return {t.dram_reads,           t.dram_writes,
+          t.nvram_reads,          t.nvram_writes,
+          t.nvram_prefetch_reads, t.remote_nvram_accesses,
+          t.memory_mode_hits,     t.memory_mode_misses};
+}
+
+TEST_P(SubstructureGraphs, PeelingOutputsAndCountersDoNotDependOnWidth) {
+  // Both peeling kernels count neighbor losses with fetch-and-add; the
+  // outputs and every charge are functions of each round's sets, so every
+  // width gives the width-1 run's results and counters.
+  Graph g = GetParam().make();
+  KCoreResult kcore_w1;
+  DensestSubgraphResult densest_w1;
+  std::vector<uint64_t> kcore_cost_w1, densest_cost_w1;
+  for (int width : {1, 2, 4, 8}) {
+    SCOPED_TRACE(width);
+    Scheduler::Reset(width);
+    nvram::CostScope kcore_scope;
+    KCoreResult kcore = KCore(g);
+    const auto kcore_cost = Counters(kcore_scope.Delta());
+    nvram::CostScope densest_scope;
+    DensestSubgraphResult densest = ApproxDensestSubgraph(g, 0.001);
+    const auto densest_cost = Counters(densest_scope.Delta());
+    if (width == 1) {
+      kcore_w1 = std::move(kcore);
+      densest_w1 = std::move(densest);
+      kcore_cost_w1 = kcore_cost;
+      densest_cost_w1 = densest_cost;
+      continue;
+    }
+    EXPECT_EQ(kcore.coreness, kcore_w1.coreness);
+    EXPECT_EQ(kcore.rounds, kcore_w1.rounds);
+    EXPECT_EQ(kcore.max_core, kcore_w1.max_core);
+    EXPECT_EQ(kcore_cost, kcore_cost_w1);
+    EXPECT_EQ(densest.members, densest_w1.members);
+    EXPECT_EQ(densest.density, densest_w1.density);
+    EXPECT_EQ(densest.rounds, densest_w1.rounds);
+    EXPECT_EQ(densest_cost, densest_cost_w1);
+  }
+  Scheduler::Reset(0);
 }
 
 TEST_P(SubstructureGraphs, PageRankMatchesSequentialPowerIteration) {
