@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/vertex_subset.h"
@@ -39,7 +40,8 @@ namespace internal {
 inline constexpr uint64_t kHistogramThresholdDen = 20;
 
 /// Concatenates per-shard lists in shard order; moves the only non-empty
-/// one. Uncharged: the lists' entries were charged as they were written.
+/// one. Uncharged, so the charges do not follow how many shards the
+/// schedule used; the caller charges one write per listed vertex.
 inline std::vector<vertex_id> ConcatLists(
     std::vector<std::vector<vertex_id>>& lists) {
   std::vector<std::vector<vertex_id>*> parts;
