@@ -4,16 +4,17 @@
 // neighbors' losses with the neighbor histogram: a relaxed fetch-and-add
 // into one n-word counter array that lives for the whole run (or, for a
 // frontier above m/20, a dense O(n + m) scan into the same array). The
-// moved vertices are then placed in their new buckets in one parallel
-// pass, whose bucket(i) functor applies each vertex's count to its degree
-// and zeroes the count. PSAM: O(m) work (each edge is gathered and counted
-// O(1) times, each degree change placed once) and O(n) words of DRAM. The
-// depth is not the paper's O(rho log n) whp (rho = peeling complexity):
-// parts of a round run sequentially in its size. A vertex that loses d
-// neighbors in a round is counted in d sequential steps on its counter,
-// and the prefix sums over the placement's count matrix (up to k/8
-// entries for k moved vertices) and the extraction of a bucket are
-// sequential passes too.
+// degrees live in the buckets: a live vertex's bucket is max(its remaining
+// degree, k), so there is no degree array. The moved vertices are placed
+// in their new buckets in one parallel pass, whose bucket(i) functor
+// lowers the vertex's bucket by its count and zeroes the count. PSAM: O(m)
+// work (each edge is gathered and counted O(1) times, each degree change
+// placed once) and O(n) words of DRAM. The depth is not the paper's
+// O(rho log n) whp (rho = peeling complexity): parts of a round run
+// sequentially in its size. A vertex that loses d neighbors in a round is
+// counted in d sequential steps on its counter, and the prefix sums over
+// the placement's count matrix (up to k/8 entries for k moved vertices)
+// and the extraction of a bucket are sequential passes too.
 #pragma once
 
 #include <algorithm>
@@ -44,16 +45,13 @@ struct KCoreResult {
 template <typename GraphT>
 KCoreResult KCore(const GraphT& g) {
   const vertex_id n = g.num_vertices();
-  std::vector<uint32_t> degree(n);
-  parallel_for(0, n, [&](size_t v) {
-    degree[v] = g.degree_uncharged(static_cast<vertex_id>(v));
-  });
   std::vector<uint8_t> peeled(n, 0);
   // The neighbor histogram's counters: zero between rounds.
   std::vector<uint32_t> lost(n, 0);
   nvram::TrackedAllocation lost_words(size_t{n} * sizeof(uint32_t));
   Buckets buckets(
-      n, [&](vertex_id v) { return degree[v]; }, BucketOrder::kIncreasing);
+      n, [&](vertex_id v) { return g.degree_uncharged(v); },
+      BucketOrder::kIncreasing);
 
   KCoreResult result;
   result.coreness.assign(n, 0);
@@ -70,7 +68,8 @@ KCoreResult KCore(const GraphT& g) {
     });
     nvram::Cost().ChargeWorkWrite(2 * peel.size());
     // Count the live neighbors' losses, then apply each one as its vertex
-    // is placed: coreness is at least the current k.
+    // is placed: its bucket before the batch is its degree (at least k),
+    // and coreness is at least the current k.
     auto frontier = VertexSubset::Sparse(n, std::move(bkt.vertices));
     const auto moved = NeighborHistogram(
         g, frontier, [&](vertex_id u) { return peeled[u] == 0; }, lost);
@@ -78,9 +77,9 @@ KCoreResult KCore(const GraphT& g) {
         moved.size(), [&](size_t i) { return moved[i]; },
         [&](size_t i) {
           const vertex_id u = moved[i];
+          const uint32_t degree = buckets.BucketOf(u);
           const uint32_t cnt = std::exchange(lost[u], 0);
-          degree[u] = std::max(degree[u] >= cnt ? degree[u] - cnt : 0u, k);
-          return degree[u];
+          return std::max(degree >= cnt ? degree - cnt : 0u, k);
         });
   }
   result.max_core = k;

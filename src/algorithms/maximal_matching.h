@@ -32,6 +32,18 @@ struct MatchEdge {
 /// Reservation of a vertex no edge holds; no edge's key equals it.
 inline constexpr uint64_t kFreeReservation = ~0ULL;
 
+/// Priority of edge (a, b) of an n-vertex graph in the round whose salt is
+/// Hash64(seed ^ (round << 40)). Keys are one fixed random order of the
+/// round's edges: Hash64 is a bijection and a * n + b names one edge, so
+/// keys are unique within the round and do not depend on the schedule.
+/// a * n + b < n * n never names ~0, so its key is free to stand in for the
+/// one that hits the free marker.
+inline uint64_t MatchKey(uint64_t round_salt, vertex_id a, vertex_id b,
+                         vertex_id n) {
+  const uint64_t key = Hash64(round_salt ^ (uint64_t{a} * n + b));
+  return key == kFreeReservation ? Hash64(round_salt ^ ~0ULL) : key;
+}
+
 /// Matches a batch of candidate edges; appends matched edges to `out` and
 /// sets matched[] for their endpoints. Runs until the batch is exhausted.
 inline void MatchBatch(std::vector<MatchEdge> batch,
@@ -97,9 +109,6 @@ std::vector<std::pair<vertex_id, vertex_id>> MaximalMatching(
     uint64_t taken = 0;
     vertex_id v = window_start;
     vertex_id scanned = 0;
-    // Keys are one fixed random order of the round's edges: Hash64 is a
-    // bijection and a * n + b names one edge, so keys are unique within the
-    // round and do not depend on the schedule.
     const uint64_t round_salt = Hash64(seed ^ (round << 40));
     while (scanned < n && taken < budget) {
       vertex_id chunk_end =
@@ -110,13 +119,8 @@ std::vector<std::pair<vertex_id, vertex_id>> MaximalMatching(
         if (matched[w].load(std::memory_order_relaxed)) return;
         gf.MapActive(w, [&](vertex_id a, vertex_id b) {
           if (a < b && matched[b].load(std::memory_order_relaxed) == 0) {
-            uint64_t key = Hash64(round_salt ^ (uint64_t{a} * n + b));
-            // a * n + b < n * n never names ~0, so its key is free to stand
-            // in for the one that hits the free marker.
-            if (key == internal::kFreeReservation) {
-              key = Hash64(round_salt ^ ~0ULL);
-            }
-            local[shard_id()].push_back({a, b, key});
+            local[shard_id()].push_back(
+                {a, b, internal::MatchKey(round_salt, a, b, n)});
           }
         });
       });

@@ -77,16 +77,16 @@ inline std::vector<std::pair<vertex_id, vertex_id>> GbbsMaximalMatching(
   while (remaining > 0) {
     std::vector<std::vector<internal::MatchEdge>> local(
         Scheduler::kMaxShards);
-    std::atomic<uint64_t> salt{round << 40};
+    // Keyed as MaximalMatching keys its edges, so the matching does not
+    // depend on the schedule.
+    const uint64_t round_salt = Hash64(seed ^ (round << 40));
     parallel_for(0, n, [&](size_t vi) {
       vertex_id v = static_cast<vertex_id>(vi);
       if (matched[v].load(std::memory_order_relaxed)) return;
       pg.MapNeighbors(v, [&](vertex_id a, vertex_id b) {
         if (a < b && matched[b].load(std::memory_order_relaxed) == 0) {
-          uint64_t s = salt.fetch_add(1, std::memory_order_relaxed);
-          uint64_t key = ((Hash64(seed ^ s) & 0x7FFFFFFFULL) << 32) |
-                         (s & 0xFFFFFFFFULL);
-          local[shard_id()].push_back({a, b, key});
+          local[shard_id()].push_back(
+              {a, b, internal::MatchKey(round_salt, a, b, n)});
         }
       });
     });

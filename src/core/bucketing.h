@@ -13,9 +13,9 @@
 // this one routine, which requires the vertex ids of a batch to be
 // distinct. UpdateBuckets takes its batch as vertex(i) / bucket(i)
 // functors, called during placement, so a caller can compute each new
-// bucket there (k-core applies a round's degree losses this way) instead
-// of building a pairs vector first. Extraction takes a bucket's live
-// members out in one sequential pass.
+// bucket there (k-core's buckets hold its degrees, and it lowers each by
+// the round's losses this way) instead of building a pairs vector first.
+// Extraction takes a bucket's live members out in one sequential pass.
 //
 // PSAM compliance: Julienne's fully lazy deletion can leave O(#updates) =
 // O(m) stale entries resident. Here every vertex records its current bucket
@@ -128,7 +128,10 @@ class Buckets {
   /// (matching Julienne: priorities only advance). kNullBucket removes the
   /// vertex. bucket(i) is called once per i, possibly in parallel, so it
   /// may compute the new bucket from the vertex's state and update that
-  /// state. The vertices of one batch must be distinct.
+  /// state. It may read BucketOf(vertex(i)), which still holds the bucket
+  /// from before the batch, but not the bucket of another vertex of the
+  /// batch, which another call may be writing. The vertices of one batch
+  /// must be distinct.
   template <typename VertexF, typename BucketF>
   void UpdateBuckets(size_t k, const VertexF& vertex, const BucketF& bucket) {
     SAGE_DCHECK(DistinctVertices(k, vertex));

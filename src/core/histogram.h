@@ -9,9 +9,15 @@
 //  - sparse: each frontier vertex adds one to the counter of each live
 //    neighbor with a relaxed fetch-and-add; the add that finds zero lists
 //    the neighbor. O(deg(U)) work and no transient array beyond the list.
-//    A vertex that gains d counts in a round takes d atomic steps on one
-//    word. Used when the frontier's |U| + deg(U) is at most the threshold
-//    t = m/c.
+//    Each frontier vertex runs two passes in its worker's own list, and
+//    neither branches on the data: the first copies every neighbor and
+//    advances by pred(v), so the live ones stay; the second fetch-and-adds
+//    each live one and advances when the old count was zero, so the listed
+//    ones stay. Tasks cover about kHistogramTaskEdges edges of the
+//    frontier, so a few hubs split across workers as many small vertices
+//    do. A vertex that gains d counts in a round takes d atomic steps on
+//    one word. Used when the frontier's |U| + deg(U) is at most the
+//    threshold t = m/c.
 //  - dense: when the frontier is large, iterate over *all* live vertices
 //    and count their neighbors in the frontier's flags (O(n + m) work, no
 //    atomics), writing the counts into the same array. This is the "dense
@@ -38,6 +44,9 @@ namespace internal {
 
 /// The paper's sparse/dense histogram threshold t = m / c, with c = 20.
 inline constexpr uint64_t kHistogramThresholdDen = 20;
+
+/// Edges per task of the sparse path.
+inline constexpr uint64_t kHistogramTaskEdges = 4096;
 
 /// Concatenates per-shard lists in shard order; moves the only non-empty
 /// one. Uncharged, so the charges do not follow how many shards the
@@ -71,31 +80,50 @@ inline std::vector<vertex_id> ConcatLists(
 
 /// Sparse path: for each member u of `frontier` and each neighbor v of u
 /// with pred(v), adds one to counts[v]. Returns the vertices whose count
-/// rose from zero, each once, in unspecified order. Reads: a probe per
-/// gathered neighbor. Writes: one per live neighbor (the fetch-and-add, a
+/// rose from zero, each once, in unspecified order. `frontier_edges` is the
+/// frontier's degree sum; it sizes the tasks. Reads: a probe per gathered
+/// neighbor. Writes: one per live neighbor (the fetch-and-add, a
 /// read-modify-write of one word) and one per listed vertex.
 template <typename GraphT, typename Pred>
 std::vector<vertex_id> SparseNeighborHistogram(const GraphT& g,
                                                const VertexSubset& frontier,
                                                const Pred& pred,
-                                               std::vector<uint32_t>& counts) {
+                                               std::vector<uint32_t>& counts,
+                                               uint64_t frontier_edges) {
   SAGE_DCHECK(!frontier.is_dense());
   const auto& ids = frontier.ids();
+  const size_t grain = std::max<uint64_t>(
+      1, ids.size() * internal::kHistogramTaskEdges /
+             std::max<uint64_t>(frontier_edges, 1));
   std::vector<std::vector<vertex_id>> lists(Scheduler::kMaxShards);
-  parallel_for_batched(0, ids.size(), [&](size_t i) {
-    auto& list = lists[shard_id()];
-    uint64_t live = 0;
-    g.MapNeighbors(ids[i], [&](vertex_id, vertex_id v, weight_t) {
-      if (!pred(v)) return;
-      ++live;
-      if (std::atomic_ref<uint32_t>(counts[v]).fetch_add(
-              1, std::memory_order_relaxed) == 0) {
-        list.push_back(v);
-      }
-    });
-    nvram::Cost().ChargeWorkRead(g.degree_uncharged(ids[i]));
-    nvram::Cost().ChargeWorkWrite(live);
-  });
+  parallel_for_batched(
+      0, ids.size(),
+      [&](size_t i) {
+        auto& list = lists[shard_id()];
+        const vertex_id u = ids[i];
+        const uint32_t deg = g.degree_uncharged(u);
+        const size_t first = list.size();
+        list.resize(first + deg);
+        // Keep the live neighbors, then of those the ones counted first.
+        size_t live_end = first;
+        g.MapNeighbors(u, [&](vertex_id, vertex_id v, weight_t) {
+          list[live_end] = v;
+          live_end += pred(v) ? 1 : 0;
+        });
+        size_t listed_end = first;
+        for (size_t j = first; j < live_end; ++j) {
+          const vertex_id v = list[j];
+          list[listed_end] = v;
+          listed_end += std::atomic_ref<uint32_t>(counts[v]).fetch_add(
+                            1, std::memory_order_relaxed) == 0
+                            ? 1
+                            : 0;
+        }
+        list.resize(listed_end);
+        nvram::Cost().ChargeWorkRead(deg);
+        nvram::Cost().ChargeWorkWrite(live_end - first);
+      },
+      grain);
   auto listed = internal::ConcatLists(lists);
   nvram::Cost().ChargeWorkWrite(listed.size());
   return listed;
@@ -160,7 +188,7 @@ std::vector<vertex_id> NeighborHistogram(const GraphT& g,
     return DenseNeighborHistogram(g, frontier, pred, counts);
   }
   frontier.ToSparse();
-  return SparseNeighborHistogram(g, frontier, pred, counts);
+  return SparseNeighborHistogram(g, frontier, pred, counts, deg);
 }
 
 }  // namespace sage

@@ -2,6 +2,10 @@
 // semi-external engine: they must produce the same answers as Sage while
 // exhibiting the cost signatures the paper attributes to them (graph
 // writes for GBBS packing; block over-streaming for the grid engine).
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "algorithms/reference/sequential.h"
@@ -10,6 +14,8 @@
 #include "baselines/grid_engine.h"
 #include "baselines/packed_graph.h"
 #include "graph/generators.h"
+#include "nvram/execution_context.h"
+#include "parallel/scheduler.h"
 
 namespace sage::baselines {
 namespace {
@@ -44,6 +50,37 @@ TEST(GbbsBaselines, MaximalMatchingIsMaximal) {
   Graph g = RmatGraph(10, 15000, 9);
   auto matching = GbbsMaximalMatching(g, 3);
   EXPECT_TRUE(ref::IsMaximalMatching(g, matching));
+}
+
+TEST(GbbsBaselines, MaximalMatchingSameAtEveryWidth) {
+  // Each candidate edge's priority is a hash of the seed, the round and
+  // the edge, as in Sage's matching, so the matching and every charge are
+  // the same at any width.
+  Graph g = RmatGraph(12, 60000, 21);
+  std::vector<std::pair<vertex_id, vertex_id>> matching_w1;
+  std::vector<uint64_t> cost_w1;
+  for (int width : {1, 2, 4, 8}) {
+    SCOPED_TRACE(width);
+    Scheduler::Reset(width);
+    nvram::CostScope scope;
+    auto matching = GbbsMaximalMatching(g, 5);
+    const nvram::CostTotals t = scope.Delta();
+    const std::vector<uint64_t> cost{
+        t.dram_reads,           t.dram_writes,
+        t.nvram_reads,          t.nvram_writes,
+        t.nvram_prefetch_reads, t.remote_nvram_accesses,
+        t.memory_mode_hits,     t.memory_mode_misses};
+    ASSERT_TRUE(ref::IsMaximalMatching(g, matching));
+    std::sort(matching.begin(), matching.end());
+    if (width == 1) {
+      matching_w1 = std::move(matching);
+      cost_w1 = cost;
+      continue;
+    }
+    EXPECT_EQ(matching, matching_w1);
+    EXPECT_EQ(cost, cost_w1);
+  }
+  Scheduler::Reset(0);
 }
 
 TEST(GbbsBaselines, WritesNvramWhereSageDoesNot) {

@@ -258,6 +258,50 @@ TEST(Buckets, RandomStreamsMatchSequentialModelDecreasing) {
   }
 }
 
+TEST(Buckets, BucketFunctorReadsTheBucketFromBeforeTheBatch) {
+  // k-core keeps its degrees in the buckets: bucket(i) reads
+  // BucketOf(vertex(i)) and lowers it by the round's losses, never below
+  // the current bucket. Batches of every live vertex, up to several
+  // placement tasks, must see each vertex's bucket from before the batch
+  // and extract as the sequential model does.
+  const vertex_id n = 6000;
+  Rng rng(11);
+  std::vector<bucket_id> init(n);
+  for (auto& b : init) b = static_cast<bucket_id>(rng.Next(300));
+  BucketModel model(init, BucketOrder::kIncreasing, 0);
+  Buckets buckets(n, [&](vertex_id v) { return init[v]; },
+                  BucketOrder::kIncreasing);
+  for (int round = 0;; ++round) {
+    auto [id, expect] = model.Next();
+    auto got = buckets.NextBucket();
+    ASSERT_EQ(got.id, id) << "round " << round;
+    std::sort(got.vertices.begin(), got.vertices.end());
+    ASSERT_EQ(got.vertices, expect) << "round " << round;
+    if (id == kNullBucket) break;
+    std::vector<vertex_id> batch;
+    for (vertex_id v = 0; v < n; ++v) {
+      if (model.BucketOf(v) != kNullBucket && rng.Next(2) == 0) {
+        batch.push_back(v);
+      }
+    }
+    std::vector<uint32_t> loss(batch.size());
+    for (auto& l : loss) l = static_cast<uint32_t>(rng.Next(4));
+    std::vector<bucket_id> seen(batch.size());
+    buckets.UpdateBuckets(
+        batch.size(), [&](size_t i) { return batch[i]; },
+        [&](size_t i) {
+          const bucket_id b = seen[i] = buckets.BucketOf(batch[i]);
+          return std::max(b >= loss[i] ? b - loss[i] : 0u, id);
+        });
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const bucket_id before = model.BucketOf(batch[i]);
+      ASSERT_EQ(seen[i], before) << "vertex " << batch[i];
+      model.Update(batch[i],
+                   std::max(before >= loss[i] ? before - loss[i] : 0u, id));
+    }
+  }
+}
+
 TEST(Buckets, StaleEntriesAreFilteredAtExtraction) {
   Buckets b(4, [](vertex_id) { return 1; }, BucketOrder::kIncreasing);
   b.UpdateBuckets({{0, 2}});

@@ -52,6 +52,13 @@ std::vector<vertex_id> EveryThird(const Graph& g) {
   return members;
 }
 
+/// Degree sum of `members`, which the sparse path takes to size its tasks.
+uint64_t DegreeSum(const Graph& g, const std::vector<vertex_id>& members) {
+  uint64_t sum = 0;
+  for (vertex_id v : members) sum += g.degree_uncharged(v);
+  return sum;
+}
+
 TEST(NeighborHistogram, SparseAndDensePathsListEachCountedVertexOnce) {
   Graph g = RmatGraph(10, 15000, 5);
   const auto members = EveryThird(g);
@@ -61,7 +68,8 @@ TEST(NeighborHistogram, SparseAndDensePathsListEachCountedVertexOnce) {
   auto sparse_frontier = VertexSubset::Sparse(g.num_vertices(),
                                               std::vector<vertex_id>(members));
   auto sparse = SparseNeighborHistogram(
-      g, sparse_frontier, [](vertex_id) { return true; }, counts);
+      g, sparse_frontier, [](vertex_id) { return true; }, counts,
+      DegreeSum(g, members));
   EXPECT_EQ(TakeCounts(sparse, counts), expect);
 
   auto dense_frontier = VertexSubset::Sparse(g.num_vertices(),
@@ -78,7 +86,7 @@ TEST(NeighborHistogram, PredicateFiltersTargets) {
   std::vector<uint32_t> counts(30, 0);
   auto frontier = VertexSubset::Sparse(30, {0, 1, 2});
   auto listed = SparseNeighborHistogram(
-      g, frontier, [](vertex_id v) { return v >= 20; }, counts);
+      g, frontier, [](vertex_id v) { return v >= 20; }, counts, 3 * 29);
   auto got = TakeCounts(listed, counts);
   ASSERT_EQ(got.size(), 10u);
   for (auto [v, c] : got) {
@@ -110,10 +118,28 @@ TEST(NeighborHistogram, AutoSelectsAndMatchesReference) {
 TEST(NeighborHistogram, RoundsReuseTheArrayAndChargeAlikeAtEveryWidth) {
   // Peeling-style rounds over one array: each round's frontier is the next
   // third of the vertices, counted only into vertices not yet peeled; then
-  // one sparse round. Every width lists the same vertices with the same
+  // two sparse rounds. Every width lists the same vertices with the same
   // counts and charges the same words, on both paths.
-  Graph g = RmatGraph(11, 40000, 9);
+  Graph g = RmatGraph(14, 200000, 9);
   const vertex_id n = g.num_vertices();
+  const uint64_t threshold = g.num_edges() / internal::kHistogramThresholdDen;
+  // The highest-degree vertices while the round stays at most m/20: fewer
+  // vertices than parallel_for's default puts in one task, yet several
+  // tasks of kHistogramTaskEdges edges.
+  std::vector<vertex_id> hubs(n);
+  for (vertex_id v = 0; v < n; ++v) hubs[v] = v;
+  std::stable_sort(hubs.begin(), hubs.end(), [&](vertex_id a, vertex_id b) {
+    return g.degree_uncharged(a) > g.degree_uncharged(b);
+  });
+  uint64_t hub_edges = 0;
+  size_t num_hubs = 0;
+  while (hub_edges + g.degree_uncharged(hubs[num_hubs]) + num_hubs + 1 <=
+         threshold) {
+    hub_edges += g.degree_uncharged(hubs[num_hubs++]);
+  }
+  hubs.resize(num_hubs);
+  ASSERT_LT(hubs.size(), 256u);
+  ASSERT_GT(hub_edges, 4 * internal::kHistogramTaskEdges);
   std::vector<std::map<vertex_id, uint32_t>> first_width;
   nvram::CostTotals first_totals;
   for (int width : {1, 2, 4}) {
@@ -137,19 +163,21 @@ TEST(NeighborHistogram, RoundsReuseTheArrayAndChargeAlikeAtEveryWidth) {
       rounds.push_back(TakeCounts(listed, counts));
       EXPECT_EQ(rounds.back(), ReferenceNeighborCounts(g, members, live));
     }
-    // Up to 600 vertices of degree 1 to 3: below m/20, so the sparse path,
-    // yet several tasks at width > 1, most of them adding to the hubs.
+    // Up to 600 vertices of degree 1 to 3, most of them adding to the
+    // hubs, then the hubs themselves: both below m/20, so the sparse path.
     std::vector<vertex_id> low;
     for (vertex_id v = 0; v < n && low.size() < 600; ++v) {
       const uint32_t d = g.degree_uncharged(v);
       if (d >= 1 && d <= 3) low.push_back(v);
     }
-    auto sparse = VertexSubset::Sparse(n, std::vector<vertex_id>(low));
-    auto listed = NeighborHistogram(
-        g, sparse, [](vertex_id) { return true; }, counts);
-    EXPECT_FALSE(sparse.is_dense());
-    rounds.push_back(TakeCounts(listed, counts));
-    EXPECT_EQ(rounds.back(), ReferenceNeighborCounts(g, low));
+    for (const auto* members : {&low, &hubs}) {
+      auto sparse = VertexSubset::Sparse(n, std::vector<vertex_id>(*members));
+      auto listed = NeighborHistogram(
+          g, sparse, [](vertex_id) { return true; }, counts);
+      EXPECT_FALSE(sparse.is_dense());
+      rounds.push_back(TakeCounts(listed, counts));
+      EXPECT_EQ(rounds.back(), ReferenceNeighborCounts(g, *members));
+    }
     const nvram::CostTotals totals = scope.Delta();
     if (width == 1) {
       first_width = rounds;
