@@ -261,9 +261,9 @@ TEST(Buckets, RandomStreamsMatchSequentialModelDecreasing) {
 TEST(Buckets, BucketFunctorReadsTheBucketFromBeforeTheBatch) {
   // k-core keeps its degrees in the buckets: bucket(i) reads
   // BucketOf(vertex(i)) and lowers it by the round's losses, never below
-  // the current bucket. Batches of every live vertex, up to several
-  // placement tasks, must see each vertex's bucket from before the batch
-  // and extract as the sequential model does.
+  // the current bucket. Batches of a random half of the live vertices,
+  // several placement tasks at width > 1, must see each vertex's bucket
+  // from before the batch and extract as the sequential model does.
   const vertex_id n = 6000;
   Rng rng(11);
   std::vector<bucket_id> init(n);
