@@ -65,13 +65,6 @@ void PrintUsage() {
       "[-tenant NAME]\n"
       "                [-repeat N [-updates-between file]] [-stats]\n"
       "       sage_cli [-graph file | -gen ...] -convert out.bsadj|out.adj\n"
-      "       sage_cli [-graph file | -gen ...] -convert-sharded out.bsadjx "
-      "[-shards K]\n"
-      "-convert-sharded splits the graph into K edge-balanced .bsadj\n"
-      "segments plus a .bsadjx manifest (default K=4); a .bsadjx -graph\n"
-      "input opens the assembled multi-shard mapping, runs bit-identical\n"
-      "to the monolithic image, and reports per-shard NVRAM counters in\n"
-      "-json.\n"
       "-updates applies an edge-update stream ('u v [w]' inserts, '- u v'\n"
       "removes) as a DRAM delta over the loaded graph before the run;\n"
       "-compact merges the delta into the base (rewriting a mapped .bsadj\n"
@@ -97,11 +90,10 @@ int main(int argc, char** argv) {
   // anything else is a typo or a removed flag, and running the defaults
   // instead would hide it.
   const auto unknown = cmd.UnknownFlags(
-      {"algo", "cache", "cache-bytes", "compact", "convert",
-       "convert-sharded", "deadline-ms", "edges", "gen", "graph", "help",
-       "json", "list", "list-names", "logn", "omega", "policy", "prefetch",
-       "repeat", "seed", "shards", "src", "stats", "tenant", "threads",
-       "updates", "updates-between", "weighted"});
+      {"algo", "cache", "cache-bytes", "compact", "convert", "deadline-ms",
+       "edges", "gen", "graph", "help", "json", "list", "list-names", "logn",
+       "omega", "policy", "prefetch", "repeat", "seed", "src", "stats",
+       "tenant", "threads", "updates", "updates-between", "weighted"});
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag -%s (try -list)\n",
                  unknown.front().c_str());
@@ -115,16 +107,12 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (cmd.Has("convert") || cmd.Has("convert-sharded")) {
+  if (cmd.Has("convert")) {
     // Conversion mode: load (or generate), serialize, exit. Destination
     // extension picks the format; .bsadj graphs then reload via mmap.
-    // -convert-sharded splits into -shards (default 4) .bsadj segments
-    // plus the .bsadjx manifest at the destination path.
-    const bool sharded = cmd.Has("convert-sharded");
-    std::string out = cmd.GetString(sharded ? "convert-sharded" : "convert");
+    std::string out = cmd.GetString("convert");
     if (out.empty()) {
-      std::fprintf(stderr, "-convert%s needs a destination path\n",
-                   sharded ? "-sharded" : "");
+      std::fprintf(stderr, "-convert needs a destination path\n");
       return 1;
     }
     auto loaded = LoadGraph(cmd);
@@ -133,25 +121,16 @@ int main(int argc, char** argv) {
       return 1;
     }
     const Graph& g = loaded.ValueOrDie();
-    Status st;
-    uint32_t shards = 0;
-    if (sharded) {
-      shards = static_cast<uint32_t>(cmd.GetInt("shards", 4));
-      st = WriteShardedGraph(g, out, shards);
-    } else {
-      st = out.ends_with(".bsadj") ? WriteBinaryGraph(g, out)
-                                   : WriteAdjacencyGraph(g, out);
-    }
+    Status st = out.ends_with(".bsadj") ? WriteBinaryGraph(g, out)
+                                        : WriteAdjacencyGraph(g, out);
     if (!st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %s: n=%u m=%llu%s%s", out.c_str(), g.num_vertices(),
+    std::printf("wrote %s: n=%u m=%llu%s%s\n", out.c_str(), g.num_vertices(),
                 static_cast<unsigned long long>(g.num_edges()),
                 g.weighted() ? " weighted" : "",
                 g.symmetric() ? " symmetric" : "");
-    if (sharded) std::printf(" shards=%u", shards);
-    std::printf("\n");
     return 0;
   }
 

@@ -12,11 +12,6 @@
 #                                             every algorithm runs from the
 #                                             mapped binary and must match
 #                                             its text-run summary+counters
-#   cli_smoke.sh <sage_cli> --sharded         multi-shard leg: -convert-sharded
-#                                             splits into .bsadjx + segments,
-#                                             every algorithm runs from the
-#                                             assembled mapping and must match
-#                                             its monolithic-binary run
 #   cli_smoke.sh <sage_cli> --serve           serving leg: -cache/-repeat hits
 #                                             the result cache bit-identically,
 #                                             an epoch bump between repeats
@@ -106,59 +101,6 @@ case $MODE in
         fail=1
       else
         echo "ok $name (text == mapped binary)"
-      fi
-    done
-    exit $fail
-    ;;
-  --sharded)
-    tmp=$(mktemp -d) || { echo "FAIL: mktemp"; exit 1; }
-    trap 'rm -rf "$tmp"' EXIT
-    # One generated graph, serialized both as a monolithic .bsadj and as a
-    # 4-shard .bsadjx manifest through the CLI's own conversion flags.
-    "$CLI" -gen rmat -logn 10 -edges 8000 -convert "$tmp/g.bsadj" \
-      >/dev/null || {
-      echo "FAIL: -convert to binary exited nonzero"; exit 1;
-    }
-    out=$("$CLI" -graph "$tmp/g.bsadj" -convert-sharded "$tmp/g.bsadjx" \
-                 -shards 4) || {
-      echo "FAIL: -convert-sharded exited nonzero"; exit 1;
-    }
-    printf '%s' "$out" | grep -q "shards=4" || {
-      echo "FAIL: -convert-sharded did not report shards=4: $out"; exit 1;
-    }
-    for s in 0 1 2 3; do
-      [ -f "$tmp/g.shard$s.bsadj" ] || {
-        echo "FAIL: segment g.shard$s.bsadj missing"; exit 1;
-      }
-    done
-    names=$("$CLI" -list-names) || { echo "FAIL: -list-names"; exit 1; }
-    fail=0
-    for name in $names; do
-      # -threads 1 pins scheduling (see --binary-all); the sharded run must
-      # be bit-identical to the monolithic mapped run - the ShardParity
-      # contract, end to end through the CLI.
-      mono_out=$("$CLI" -algo "$name" -graph "$tmp/g.bsadj" -src 1 \
-                        -threads 1 -json) || {
-        echo "FAIL $name: monolithic run exited nonzero"; fail=1; continue;
-      }
-      shard_out=$("$CLI" -algo "$name" -graph "$tmp/g.bsadjx" -src 1 \
-                         -threads 1 -json) || {
-        echo "FAIL $name: sharded run exited nonzero"; fail=1; continue;
-      }
-      printf '%s' "$shard_out" | grep -q '"graph_source": "mapped-nvram"' || {
-        echo "FAIL $name: sharded run not marked mapped-nvram"; fail=1;
-      }
-      printf '%s' "$shard_out" | grep -q '"per_shard"' || {
-        echo "FAIL $name: sharded run lacks the per_shard block"; fail=1;
-      }
-      if [ "$(extract_comparable "$mono_out")" != \
-           "$(extract_comparable "$shard_out")" ]; then
-        echo "FAIL $name: monolithic and sharded runs diverge"
-        echo "--- monolithic ---"; extract_comparable "$mono_out"
-        echo "--- sharded ---";    extract_comparable "$shard_out"
-        fail=1
-      else
-        echo "ok $name (monolithic == sharded)"
       fi
     done
     exit $fail

@@ -165,17 +165,6 @@ class Engine {
   /// queries are unaffected (they hold their own epoch pins).
   Result<UpdateStats> ApplyUpdates(std::span<const EdgeUpdate> updates) {
     State& s = *state_;
-    if (auto storage = s.graph.storage();
-        storage != nullptr && storage->shard_count() > 0) {
-      // Updating a sharded base needs a delta overlay per shard segment
-      // (and Compact a per-segment rewrite); neither exists yet. See the
-      // ROADMAP follow-up under "Multi-shard graphs".
-      return Status::Unimplemented(
-          "ApplyUpdates: dynamic updates are not supported on a sharded "
-          "graph (storage has " +
-          std::to_string(storage->shard_count()) +
-          " shards); open the monolithic .bsadj image instead");
-    }
     const vertex_id n = s.graph.num_vertices();
     for (const EdgeUpdate& e : updates) {
       if (e.u >= n || e.v >= n) {
@@ -222,14 +211,6 @@ class Engine {
   /// thread.
   Result<CompactionStats> Compact() {
     State& s = *state_;
-    if (auto storage = s.graph.storage();
-        storage != nullptr && storage->shard_count() > 0) {
-      return Status::Unimplemented(
-          "Compact: compaction is not supported on a sharded graph "
-          "(storage has " +
-          std::to_string(storage->shard_count()) +
-          " shards); open the monolithic .bsadj image instead");
-    }
     MutexLock lock(s.update_mu);
     auto published = PublishPendingLocked(s);
     if (!published.ok()) return published.status();

@@ -151,13 +151,6 @@ Result<RunReport> AlgorithmRegistry::Run(const std::string& name,
   cm.SetGraphResidence(g.nvram_resident()
                            ? nvram::GraphResidence::kMappedNvram
                            : nvram::GraphResidence::kPolicy);
-  // Multi-shard storage: register the shard boundaries so the run's NVRAM
-  // graph traffic is also binned per shard. Attribution is a side array;
-  // the totals the parity tests pin are untouched.
-  if (auto storage = g.storage();
-      storage != nullptr && storage->shard_count() > 0) {
-    cm.SetGraphShards(storage->shard_edge_starts());
-  }
 
   // Cooperative interruption: EdgeMap polls CheckInterrupt() once per
   // round on the root thread. Without a deadline or a token the context
@@ -207,7 +200,6 @@ Result<RunReport> AlgorithmRegistry::Run(const std::string& name,
     report.pages_faulted = pstats.pages_faulted;
   }
   report.cost = cm.Totals();
-  report.per_shard = cm.ShardTotals();
   report.peak_intermediate_bytes = exec.memory_tracker().PeakBytes();
   report.algorithm = info.name;
   report.threads = num_workers();

@@ -33,16 +33,6 @@ std::string RunReport::ToJson() const {
   j += "  \"cache_hit\": " + std::string(cache_hit ? "true" : "false") +
        ",\n";
   j += "  \"queue_seconds\": " + Double(queue_seconds) + ",\n";
-  if (!per_shard.empty()) {
-    j += "  \"per_shard\": [";
-    for (size_t s = 0; s < per_shard.size(); ++s) {
-      if (s != 0) j += ", ";
-      j += "{\"shard\": " + U64(s) +
-           ", \"nvram_reads\": " + U64(per_shard[s].nvram_reads) +
-           ", \"nvram_writes\": " + U64(per_shard[s].nvram_writes) + "}";
-    }
-    j += "],\n";
-  }
   j += "  \"counters\": " + cost.ToJson() + "\n";
   j += "}";
   return j;
@@ -73,17 +63,6 @@ std::string RunReport::ToString() const {
   if (cache_hit) {
     s += "cache: hit (summary and counters replayed from the original "
          "run)\n";
-  }
-  if (!per_shard.empty()) {
-    s += "shards:";
-    for (size_t sh = 0; sh < per_shard.size(); ++sh) {
-      std::snprintf(buf, sizeof(buf), " [%zu] r=%llu w=%llu", sh,
-                    static_cast<unsigned long long>(per_shard[sh].nvram_reads),
-                    static_cast<unsigned long long>(
-                        per_shard[sh].nvram_writes));
-      s += buf;
-    }
-    s += "\n";
   }
   if (prefetch_enabled) {
     std::snprintf(buf, sizeof(buf),

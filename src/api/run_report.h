@@ -70,12 +70,6 @@ struct RunReport {
   double omega = 4.0;
   /// PSAM counter deltas charged by the run (word granularity).
   nvram::CostTotals cost;
-  /// Multi-shard graphs only: the run's NVRAM graph traffic binned by the
-  /// shard each access fell in (one entry per shard of the storage; empty
-  /// for monolithic graphs). The entries sum to the shard-attributed
-  /// subset of cost.nvram_reads/nvram_writes - attribution never perturbs
-  /// the totals, which stay bit-identical to a monolithic run.
-  std::vector<nvram::ShardIoTotals> per_shard;
   /// Peak DRAM allocated by the run's intermediate structures, in bytes
   /// (Table 5's metric). Measured by the run's own ExecutionContext
   /// tracker, which starts at zero, so concurrent runs report their own

@@ -41,8 +41,6 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/io.h"
-#include "graph/shard.h"
-#include "graph/sharded_storage.h"
 #include "graph/stats.h"
 #include "nvram/cost_model.h"
 #include "nvram/execution_context.h"

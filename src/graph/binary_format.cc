@@ -82,12 +82,12 @@ Status ValidateHeader(const BinaryGraphHeader& h, uint64_t file_size,
     return Status::Corruption(path + ": image type widths " + widths +
                               " do not match this build");
   }
-  if ((h.flags & kBinaryGraphShardSegmentFlag) != 0) {
-    // A segment's offsets are shard-local and its neighbor ids global;
-    // only the manifest knows how to rebase them (graph/shard.h).
-    return Status::Corruption(
-        path + ": this image is one shard segment of a multi-shard graph; "
-               "open its .bsadjx manifest instead (MapShardedGraph)");
+  const uint32_t unknown_flags =
+      h.flags & ~(kBinaryGraphWeightedFlag | kBinaryGraphSymmetricFlag);
+  if (unknown_flags != 0) {
+    char flags[16];
+    std::snprintf(flags, sizeof(flags), "0x%08x", unknown_flags);
+    return Status::Corruption(path + ": unknown header flags " + flags);
   }
   const bool weighted = (h.flags & kBinaryGraphWeightedFlag) != 0;
   const uint64_t n = h.num_vertices;

@@ -54,17 +54,9 @@ inline constexpr uint32_t kBinaryGraphEndianTag = 0x01020304u;
 /// aligned for direct pointer access).
 inline constexpr uint64_t kBinaryGraphSectionAlign = 64;
 
-/// Header::flags bits.
+/// Header::flags bits. Readers reject an image with any other bit set.
 inline constexpr uint32_t kBinaryGraphWeightedFlag = 1u << 0;
 inline constexpr uint32_t kBinaryGraphSymmetricFlag = 1u << 1;
-/// The image is one shard segment of a multi-shard graph (graph/shard.h):
-/// its header n/m describe only the shard's vertex range, its offsets are
-/// shard-local, and its neighbor ids are *global*. Segments are only
-/// readable through their .bsadjx manifest (MapShardedGraph); the
-/// monolithic readers reject them with a pointer to the manifest. Segment
-/// sections are page-congruent to the shard's global edge range rather
-/// than 64-aligned (see graph/shard.h).
-inline constexpr uint32_t kBinaryGraphShardSegmentFlag = 1u << 2;
 
 /// Fixed 64-byte header at the start of every .bsadj image.
 struct BinaryGraphHeader {

@@ -88,23 +88,6 @@ class GraphStorage {
   /// base + delta transparently.
   virtual const DeltaOverlay* delta_overlay() const { return nullptr; }
 
-  // --- Multi-shard introspection ----------------------------------------
-  // A sharded backend (graph/sharded_storage.h) assembles k independently
-  // mapped .bsadj segments into globally contiguous CSR spans, so shards
-  // are a partitioning/attribution concept, never an accessor branch:
-  // algorithms, writers, and the prefetcher see one dense CSR. These
-  // virtuals expose the shard geometry to the cost model (per-shard NVRAM
-  // attribution) and the engine (update guards).
-
-  /// Number of contiguous vertex shards backing this storage; 0 for
-  /// monolithic backends.
-  virtual uint32_t shard_count() const { return 0; }
-  /// k+1 shard boundaries in directed-edge index space (shard s owns edge
-  /// slots [starts[s], starts[s+1])); empty for monolithic backends.
-  virtual std::span<const edge_offset> shard_edge_starts() const {
-    return {};
-  }
-
   // --- Page-granular advice and residency introspection -----------------
   // Meaningful only for file-mapped backends (MappedGraphStorage), which
   // the prefetch pipeline (graph/prefetch.h) drives; in-memory storage has
@@ -253,8 +236,8 @@ class Graph {
   /// Degree of v. Charges one read of v's list (a graph-region read, or a
   /// DRAM work read when v lives in the delta overlay). The address hint is
   /// v's adjacency start in edge-index space, the same space every other
-  /// graph charge uses, so the NUMA model and per-shard attribution resolve
-  /// all graph traffic consistently.
+  /// graph charge uses, so the NUMA model resolves all graph traffic
+  /// consistently.
   vertex_id degree(vertex_id v) const {
     SAGE_DCHECK(v < num_vertices());
     const Adjacency a = View(v);

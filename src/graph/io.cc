@@ -10,7 +10,6 @@
 
 #include "graph/builder.h"
 #include "graph/delta.h"
-#include "graph/sharded_storage.h"
 
 namespace sage {
 
@@ -203,8 +202,6 @@ const char* GraphFileFormatName(GraphFileFormat format) {
       return "weighted-edge-list";
     case GraphFileFormat::kBinaryCsr:
       return "binary-csr";
-    case GraphFileFormat::kShardManifest:
-      return "shard-manifest";
   }
   return "unknown";
 }
@@ -214,7 +211,6 @@ namespace {
 /// Extension-based fallback, used only when content sniffing is
 /// inconclusive.
 GraphFileFormat FormatFromExtension(const std::string& path) {
-  if (path.ends_with(".bsadjx")) return GraphFileFormat::kShardManifest;
   if (path.ends_with(".bsadj")) return GraphFileFormat::kBinaryCsr;
   if (path.ends_with(".adj")) return GraphFileFormat::kAdjacencyGraph;
   if (path.ends_with(".wadj")) {
@@ -290,8 +286,6 @@ Result<SniffResult> SniffGraphFormat(const std::string& path) {
       result.format = GraphFileFormat::kAdjacencyGraph;
     } else if (word == "WeightedAdjacencyGraph") {
       result.format = GraphFileFormat::kWeightedAdjacencyGraph;
-    } else if (word == "BSADJX") {
-      result.format = GraphFileFormat::kShardManifest;
     }
     // Textual content that is not a known header: the content contradicts
     // any extension hint, so report unknown rather than guessing.
@@ -376,17 +370,6 @@ Result<Graph> ReadGraphAuto(const std::string& path, bool symmetric,
       if (force_weighted && !mapped.ValueOrDie().weighted()) {
         return Status::InvalidArgument(
             path + ": weighted load requested but the binary image is "
-                   "unweighted");
-      }
-      return mapped;
-    }
-    case GraphFileFormat::kShardManifest: {
-      // The manifest records weights and symmetry; assemble the mapping.
-      auto mapped = MapShardedGraph(path);
-      if (!mapped.ok()) return mapped.status();
-      if (force_weighted && !mapped.ValueOrDie().weighted()) {
-        return Status::InvalidArgument(
-            path + ": weighted load requested but the sharded graph is "
                    "unweighted");
       }
       return mapped;

@@ -43,7 +43,6 @@ enum class GraphFileFormat : uint8_t {
   kEdgeList,                // "u v" per line
   kWeightedEdgeList,        // "u v w" per line
   kBinaryCsr,               // .bsadj binary CSR image (binary_format.h)
-  kShardManifest,           // .bsadjx multi-shard manifest (shard.h)
 };
 
 /// Returns a short printable name for a GraphFileFormat.
@@ -61,9 +60,8 @@ const char* GraphFileFormatName(GraphFileFormat format);
 Result<GraphFileFormat> DetectGraphFormat(const std::string& path);
 
 /// Loads a graph from `path` in whatever format DetectGraphFormat reports,
-/// dispatching to ReadAdjacencyGraph, ReadEdgeList, MapBinaryGraph, or
-/// MapShardedGraph for .bsadjx manifests (binary images and shard
-/// assemblies open zero-copy as NVRAM-resident mappings). `symmetric`
+/// dispatching to ReadAdjacencyGraph, ReadEdgeList or MapBinaryGraph
+/// (binary images open zero-copy as NVRAM-resident mappings). `symmetric`
 /// flags adjacency files as already-symmetric and controls edge-list
 /// symmetrization; binary images record their own symmetry and weights, so
 /// both flags are ignored for them except that `force_weighted` against an

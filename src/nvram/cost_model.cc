@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <vector>
 
 #include "common/json.h"
 
@@ -95,75 +94,10 @@ void CostModel::EnsureMemoryModeTags() {
 
 void CostModel::ResetCounters() {
   for (auto& shard : shards_) shard.totals = CostTotals{};
-  if (shard_io_ != nullptr) {
-    std::fill_n(shard_io_.get(),
-                shard_io_stride_ * static_cast<size_t>(Scheduler::kMaxShards),
-                0);
-  }
   EnsureMemoryModeTags();
   for (size_t i = 0; i < memory_mode_tag_lines_; ++i) {
     memory_mode_tags_[i].store(~0ULL, std::memory_order_relaxed);
   }
-}
-
-void CostModel::SetGraphShards(std::span<const uint64_t> edge_starts) {
-  if (edge_starts.size() < 2 ||
-      edge_starts.size() > kMaxAttributedGraphShards + 1) {
-    num_graph_shards_ = 0;
-    shard_io_.reset();
-    shard_io_stride_ = 0;
-    Reroute();
-    return;
-  }
-  const uint32_t k = static_cast<uint32_t>(edge_starts.size() - 1);
-  num_graph_shards_ = k;
-  std::copy(edge_starts.begin(), edge_starts.end(), graph_shard_starts_);
-  // One (reads, writes) pair per shard per scheduler slot, slot strides
-  // padded to cache lines so concurrently charging threads never share one.
-  const size_t words_per_slot = static_cast<size_t>(k) * 2;
-  const size_t line_words = kCacheLineBytes / sizeof(uint64_t);
-  shard_io_stride_ =
-      (words_per_slot + line_words - 1) / line_words * line_words;
-  const size_t total =
-      shard_io_stride_ * static_cast<size_t>(Scheduler::kMaxShards);
-  shard_io_ = std::make_unique<uint64_t[]>(total);  // value-initialized
-  Reroute();
-}
-
-uint32_t CostModel::GraphShardOf(uint64_t addr_hint) const {
-  const uint32_t k = num_graph_shards_;
-  if (k == 0) return 0;
-  // boundaries[s] <= addr_hint < boundaries[s+1]; hints at or past m (e.g.
-  // a zero-degree tail vertex's offset) clamp into the last shard.
-  const uint64_t* b = graph_shard_starts_;
-  uint32_t s =
-      static_cast<uint32_t>(std::upper_bound(b + 1, b + k, addr_hint) -
-                            (b + 1));
-  return s;
-}
-
-void CostModel::AttributeGraphShard(uint64_t words, uint64_t addr_hint,
-                                    bool is_write) {
-  const uint32_t k = num_graph_shards_;
-  if (k == 0) return;
-  const size_t slot = static_cast<size_t>(Scheduler::shard_id());
-  const uint32_t s = GraphShardOf(addr_hint);
-  shard_io_[slot * shard_io_stride_ + static_cast<size_t>(s) * 2 +
-            (is_write ? 1 : 0)] += words;
-}
-
-std::vector<ShardIoTotals> CostModel::ShardTotals() const {
-  std::vector<ShardIoTotals> out(num_graph_shards_);
-  if (shard_io_ == nullptr) return out;
-  for (int slot = 0; slot < Scheduler::kMaxShards; ++slot) {
-    const uint64_t* base =
-        shard_io_.get() + static_cast<size_t>(slot) * shard_io_stride_;
-    for (uint32_t s = 0; s < num_graph_shards_; ++s) {
-      out[s].nvram_reads += base[s * 2];
-      out[s].nvram_writes += base[s * 2 + 1];
-    }
-  }
-  return out;
 }
 
 void CostModel::ChargeNvramRead(Shard& s, uint64_t words,
@@ -248,8 +182,8 @@ CostModel::Sink CostModel::SinkOf(ChargeKind kind) const {
 }
 
 void CostModel::Reroute() {
-  // Per call: the cache simulation, remote NVRAM reads unless every read
-  // is socket-local, and the shard bin of a graph charge.
+  // Per call: the cache simulation, and NVRAM reads unless every read is
+  // socket-local.
   const bool numa =
       config_.num_sockets > 1 && graph_layout_ != GraphLayout::kReplicated;
   for (int k = 0; k < kChargeKinds; ++k) {
@@ -258,8 +192,7 @@ void CostModel::Reroute() {
     const Sink sink = SinkOf(kind);
     const bool per_call =
         sink == Sink::kMemoryMode ||
-        (sink == Sink::kNvram &&
-         ((IsGraph(kind) && num_graph_shards_ > 0) || (numa && !write)));
+        (sink == Sink::kNvram && numa && !write);
     if (per_call) {
       routes_[k] = nullptr;
     } else if (sink == Sink::kDram) {
@@ -279,13 +212,9 @@ void CostModel::ChargeSlow(ChargeKind kind, uint64_t words,
     ChargeMemoryMode(s, words, addr_hint, write);
     return;
   }
-  SAGE_DCHECK(sink == Sink::kNvram);  // DRAM always routes fast
-  if (write) {
-    s.totals.nvram_writes += words;
-  } else {
-    ChargeNvramRead(s, words, addr_hint);
-  }
-  if (IsGraph(kind)) AttributeGraphShard(words, addr_hint, write);
+  // DRAM charges and NVRAM writes always route fast.
+  SAGE_DCHECK(sink == Sink::kNvram && !write);
+  ChargeNvramRead(s, words, addr_hint);
 }
 
 CostTotals CostModel::Totals() const {

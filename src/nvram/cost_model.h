@@ -27,9 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "common/macros.h"
 #include "parallel/scheduler.h"
@@ -117,19 +115,6 @@ struct EmulationConfig {
   double nvram_write_ns() const { return omega * nvram_read_ns; }
 };
 
-/// Most graph shards the per-shard attribution arrays can bin. Mirrors
-/// graph-layer kMaxGraphShards (shard.h pins the two together with a
-/// static_assert); duplicated here so the cost model stays below the graph
-/// layer in the include hierarchy.
-inline constexpr uint32_t kMaxAttributedGraphShards = 64;
-
-/// Per-graph-shard NVRAM traffic (word granularity), reported by
-/// CostModel::ShardTotals() after SetGraphShards registered boundaries.
-struct ShardIoTotals {
-  uint64_t nvram_reads = 0;
-  uint64_t nvram_writes = 0;
-};
-
 /// Aggregated access totals (word granularity).
 struct CostTotals {
   uint64_t dram_reads = 0;
@@ -195,7 +180,7 @@ class CostModel;
 /// not calls, so totals stay bit-identical. Charges of any other model -
 /// a job of another run executed here by help-while-waiting - and
 /// slow-route charges, whose effect depends on the hint or the order
-/// (MemoryMode, NUMA, per-shard attribution), bypass the batch. A batch
+/// (MemoryMode, NUMA), bypass the batch. A batch
 /// opened while one of the same model is open stays inert, so nested
 /// primitives add nothing per call. Open one per task around loops where
 /// one charge covers one vertex (parallel_for_batched does exactly that).
@@ -229,9 +214,9 @@ class ChargeBatch {
 /// (Scheduler::shard_id() gives every charging thread - pool worker or
 /// foreign driver - its own slot); Totals() sums the slots. Only the
 /// hint-dependent cases take the out-of-line slow path, which runs the
-/// policy switch per call in call order: MemoryMode's cache simulation,
-/// NVRAM reads under a non-replicated layout with more than one socket,
-/// and graph charges binned per shard. Configuration setters are meant for
+/// policy switch per call in call order: MemoryMode's cache simulation and
+/// NVRAM reads under a non-replicated layout with more than one socket.
+/// Configuration setters are meant for
 /// single-threaded setup before the run starts charging;
 /// AlgorithmRegistry configures each run's model before publishing the
 /// context to the workers.
@@ -263,20 +248,6 @@ class CostModel {
     Reroute();
   }
   GraphLayout graph_layout() const { return graph_layout_; }
-
-  /// Registers the edge-index shard boundaries of a multi-shard graph
-  /// (k+1 entries, [0] = 0, [k] = m; k in [1, 64]) and turns on per-shard
-  /// attribution: subsequent graph charges that route to NVRAM are also
-  /// binned by which shard their addr_hint falls in. Pass an empty span to
-  /// disable. Setup-time only, like the other setters; AlgorithmRegistry
-  /// calls this per run from GraphStorage::shard_edge_starts().
-  void SetGraphShards(std::span<const uint64_t> edge_starts);
-  uint32_t graph_shard_count() const { return num_graph_shards_; }
-
-  /// Per-shard NVRAM read/write words charged since the last
-  /// ResetCounters, one entry per registered shard (empty when attribution
-  /// is off). Sums the per-thread slots, like Totals().
-  std::vector<ShardIoTotals> ShardTotals() const;
 
   /// Sets where the graph region physically lives. kMappedNvram pins graph
   /// reads to the NVRAM path regardless of the AllocPolicy (set per run by
@@ -390,12 +361,6 @@ class CostModel {
   void ChargeMemoryMode(Shard& s, uint64_t words, uint64_t addr_hint,
                         bool is_write);
 
-  /// Which registered graph shard an edge-index addr_hint falls in
-  /// (clamped; 0 when attribution is off).
-  uint32_t GraphShardOf(uint64_t addr_hint) const;
-  /// Bins a graph charge that routed to NVRAM into its shard's slot.
-  void AttributeGraphShard(uint64_t words, uint64_t addr_hint, bool is_write);
-
   /// (Re)allocates the per-model MemoryMode tag array when the policy can
   /// reach the cache simulator. Called from the setters, which run during
   /// single-threaded setup, so charging never observes a resize.
@@ -412,13 +377,6 @@ class CostModel {
   /// statistical hit rate without racing on memory.
   std::unique_ptr<std::atomic<uint64_t>[]> memory_mode_tags_;
   size_t memory_mode_tag_lines_ = 0;
-  /// Multi-shard attribution state (SetGraphShards). The counter block
-  /// mirrors the Shard slots: one cache-line-padded stride per scheduler
-  /// slot holding k (reads, writes) pairs, plain adds on the hot path.
-  uint32_t num_graph_shards_ = 0;
-  size_t shard_io_stride_ = 0;  // words per slot, cache-line multiple
-  uint64_t graph_shard_starts_[kMaxAttributedGraphShards + 1] = {};
-  std::unique_ptr<uint64_t[]> shard_io_;
   Shard shards_[Scheduler::kMaxShards];
 };
 

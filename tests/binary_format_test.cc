@@ -172,6 +172,24 @@ TEST(BinaryFormat, RejectsBadMagicAndVersion) {
   ASSERT_FALSE(bad_version.ok());
   EXPECT_NE(bad_version.status().message().find("version"),
             std::string::npos);
+
+  // Flags are the uint32_t at header byte 32; only the weighted and
+  // symmetric bits are defined, so any other bit marks an image this
+  // build cannot read.
+  for (uint32_t bit : {2u, 31u}) {
+    corrupted = bytes;
+    uint32_t flags;
+    std::memcpy(&flags, corrupted.data() + 32, sizeof(flags));
+    flags |= 1u << bit;
+    std::memcpy(corrupted.data() + 32, &flags, sizeof(flags));
+    WriteFileBytes(path, corrupted);
+    for (auto* load : {&ReadBinaryGraph, &MapBinaryGraph}) {
+      auto result = (*load)(path);
+      ASSERT_FALSE(result.ok()) << "flag bit " << bit << " was accepted";
+      EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+      EXPECT_NE(result.status().message().find("flags"), std::string::npos);
+    }
+  }
 }
 
 TEST(BinaryFormat, RejectsWrongEndianImages) {

@@ -2,16 +2,15 @@
 // a recorded file.
 //
 // The parity suites compare two views of one build (overlay vs. compacted,
-// sharded vs. monolithic, prefetch on vs. off), so a change to the charge
+// mapped vs. in-memory, prefetch on vs. off), so a change to the charge
 // path itself - which hits both sides alike - passes them all. This suite
 // compares against numbers recorded from an earlier build instead: each of
 // the 18 Table-1 algorithms runs at width 1 on a small mapped RMAT image
 //   - under all-dram, graph-nvram, all-nvram and memory-mode;
 //   - under graph-nvram with the single-socket and interleaved NUMA
 //     layouts (two emulated sockets);
-//   - on a 2-shard .bsadjx image, where per-shard attribution is on;
-// and every CostTotals field plus every per-shard entry must equal the
-// line recorded in golden/counters_rmat_w1.txt.
+// and every CostTotals field must equal the line recorded in
+// golden/counters_rmat_w1.txt.
 //
 // To re-record after a deliberate counter change, run the suite with
 // SAGE_COUNTER_GOLDEN_OUT=<path> and copy the written file over the golden
@@ -29,8 +28,6 @@
 #include "graph/binary_format.h"
 #include "graph/generators.h"
 #include "parallel/scheduler.h"
-#include "graph/shard.h"
-#include "graph/sharded_storage.h"
 
 namespace sage {
 namespace {
@@ -42,7 +39,7 @@ std::string TempPath(const std::string& name) {
 }
 
 // One golden line: config, algorithm, the eight CostTotals fields in
-// declaration order, then one reads/writes pair per graph shard.
+// declaration order.
 std::string CounterLine(const std::string& config, const RunReport& r) {
   const nvram::CostTotals& c = r.cost;
   std::ostringstream line;
@@ -50,9 +47,6 @@ std::string CounterLine(const std::string& config, const RunReport& r) {
        << c.dram_writes << ' ' << c.nvram_reads << ' ' << c.nvram_writes
        << ' ' << c.nvram_prefetch_reads << ' ' << c.remote_nvram_accesses
        << ' ' << c.memory_mode_hits << ' ' << c.memory_mode_misses;
-  for (const auto& s : r.per_shard) {
-    line << ' ' << s.nvram_reads << '/' << s.nvram_writes;
-  }
   return line.str();
 }
 
@@ -79,13 +73,9 @@ std::vector<std::string> ReadGolden() {
 TEST(CounterGolden, EveryAlgorithmPolicyLayoutAndShardMatchesRecording) {
   const Graph g = RmatGraph(10, 8000, /*seed=*/5);
   const std::string mono = TempPath("counter_golden.bsadj");
-  const std::string manifest = TempPath("counter_golden.bsadjx");
   ASSERT_TRUE(WriteBinaryGraph(g, mono).ok());
-  ASSERT_TRUE(WriteShardedGraph(g, manifest, 2).ok());
   auto mapped = MapBinaryGraph(mono);
-  auto sharded = MapShardedGraph(manifest);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
 
   std::vector<std::string> lines;
   RunContext ctx;
@@ -103,15 +93,13 @@ TEST(CounterGolden, EveryAlgorithmPolicyLayoutAndShardMatchesRecording) {
          &lines);
   ctx.graph_layout = nvram::GraphLayout::kInterleaved;
   RunAll("mapped/graph-nvram/interleaved", mapped.ValueOrDie(), ctx, &lines);
-  ctx.graph_layout = nvram::GraphLayout::kReplicated;
-  RunAll("sharded-2/graph-nvram", sharded.ValueOrDie(), ctx, &lines);
   Scheduler::Reset(0);
 
   if (const char* out = std::getenv("SAGE_COUNTER_GOLDEN_OUT")) {
     std::ofstream f(out, std::ios::trunc);
     f << "# config algorithm dram_reads dram_writes nvram_reads nvram_writes"
          " nvram_prefetch_reads remote_nvram_accesses memory_mode_hits"
-         " memory_mode_misses [shard_reads/shard_writes ...]\n"
+         " memory_mode_misses\n"
          "# RmatGraph(10, 8000, seed 5), width 1, default RunParams;"
          " written by counter_golden_test.\n";
     for (const auto& l : lines) f << l << '\n';
@@ -126,12 +114,6 @@ TEST(CounterGolden, EveryAlgorithmPolicyLayoutAndShardMatchesRecording) {
   }
 
   std::remove(mono.c_str());
-  for (uint32_t s = 0; s < 2; ++s) {
-    std::remove(TempPath("counter_golden.shard" + std::to_string(s) +
-                         ".bsadj")
-                    .c_str());
-  }
-  std::remove(manifest.c_str());
 }
 
 }  // namespace

@@ -205,16 +205,6 @@ TEST(ChargeRoute, SetterBetweenChargesReroutesTheNextCharge) {
   Cost().ChargeGraphRead(2, line1);
   EXPECT_EQ(cm.Totals().remote_nvram_accesses, 2u);
   EXPECT_EQ(cm.Totals().nvram_reads, 12u);
-  // Shard attribution bins per call; turning it off routes fast again.
-  const uint64_t starts[] = {0, 10, 20};
-  cm.SetGraphShards(starts);
-  Cost().ChargeGraphRead(5, 15);
-  ASSERT_EQ(cm.ShardTotals().size(), 2u);
-  EXPECT_EQ(cm.ShardTotals()[1].nvram_reads, 5u);
-  cm.SetGraphShards({});
-  Cost().ChargeGraphRead(5, 15);
-  EXPECT_TRUE(cm.ShardTotals().empty());
-  EXPECT_EQ(cm.Totals().nvram_reads, 22u);
   cm.SetAllocPolicy(AllocPolicy::kMemoryMode);
   Cost().ChargeWorkWrite(1);
   EXPECT_EQ(cm.Totals().memory_mode_misses, 1u);
