@@ -180,10 +180,10 @@ class CostModel;
 /// not calls, so totals stay bit-identical. Charges of any other model -
 /// a job of another run executed here by help-while-waiting - and
 /// slow-route charges, whose effect depends on the hint or the order
-/// (MemoryMode, NUMA), bypass the batch. A batch
-/// opened while one of the same model is open stays inert, so nested
-/// primitives add nothing per call. Open one per task around loops where
-/// one charge covers one vertex (parallel_for_batched does exactly that).
+/// (MemoryMode, NUMA), bypass the batch. A batch opened while one of the
+/// same model is open stays inert, so nested primitives add nothing per
+/// call. Open one per task around loops where one charge covers one
+/// vertex (parallel_for_batched does exactly that).
 class ChargeBatch {
  public:
   explicit ChargeBatch(CostModel& model) : model_(&model), outer_(open_) {
@@ -216,10 +216,9 @@ class ChargeBatch {
 /// hint-dependent cases take the out-of-line slow path, which runs the
 /// policy switch per call in call order: MemoryMode's cache simulation and
 /// NVRAM reads under a non-replicated layout with more than one socket.
-/// Configuration setters are meant for
-/// single-threaded setup before the run starts charging;
-/// AlgorithmRegistry configures each run's model before publishing the
-/// context to the workers.
+/// Configuration setters are meant for single-threaded setup before the
+/// run starts charging; AlgorithmRegistry configures each run's model
+/// before publishing the context to the workers.
 class CostModel {
  public:
   CostModel() { Reroute(); }
