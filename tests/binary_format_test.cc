@@ -1,8 +1,9 @@
 // Tests for the binary .bsadj CSR format: round trips through both the
 // copying reader and the zero-copy mmap loader, rejection of truncated /
-// bad-magic / wrong-endian / structurally corrupt images, transparent
-// loading via format detection, PSAM parity between text-loaded and mapped
-// graphs, NVRAM residence plumbing, bounded-varint fuzzing, and the
+// bad-magic / wrong-endian / unknown-flag / misplaced-section /
+// structurally corrupt images, transparent loading via format detection,
+// PSAM parity between text-loaded and mapped graphs at every width, NVRAM
+// residence plumbing, bounded-varint fuzzing, and the
 // compressed-graph encoding validator.
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +56,32 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
     ASSERT_EQ(std::fwrite(b.data(), 1, b.size(), f), b.size());
   }
   std::fclose(f);
+}
+
+// Writes `bytes` to `path` with its 64-byte header passed through `edit`.
+template <typename Edit>
+void WriteWithEditedHeader(const std::string& path,
+                           const std::vector<uint8_t>& bytes, Edit edit) {
+  std::vector<uint8_t> edited = bytes;
+  BinaryGraphHeader h;
+  std::memcpy(&h, edited.data(), sizeof(h));
+  edit(h);
+  std::memcpy(edited.data(), &h, sizeof(h));
+  WriteFileBytes(path, edited);
+}
+
+// Both loaders must refuse the image at `path` as Corruption whose
+// message names `what`.
+void ExpectBothLoadersReject(const std::string& path,
+                             const std::string& what) {
+  for (auto* load : {&ReadBinaryGraph, &MapBinaryGraph}) {
+    auto result = (*load)(path);
+    ASSERT_FALSE(result.ok()) << "accepted an image with bad " << what;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << result.status().ToString();
+    EXPECT_NE(result.status().message().find(what), std::string::npos)
+        << result.status().ToString();
+  }
 }
 
 void ExpectGraphsEqual(const Graph& a, const Graph& b) {
@@ -237,6 +265,196 @@ TEST(BinaryFormat, RejectsStructuralCorruption) {
   EXPECT_EQ(bad_offsets.status().code(), StatusCode::kCorruption);
 }
 
+// The weighted and symmetric bits are the whole flag vocabulary: each of
+// their four combinations opens through both loaders as written.
+TEST(BinaryFormat, AcceptsEveryDefinedFlagCombination) {
+  // The path 1-0-2, which reads the same as a directed graph.
+  const std::vector<edge_offset> offsets = {0, 2, 3, 4};
+  const std::vector<vertex_id> neighbors = {1, 2, 0, 0};
+  const std::vector<weight_t> weights = {5, 6, 5, 6};
+  std::string path = TempPath("flag_combos.bsadj");
+  for (bool weighted : {false, true}) {
+    for (bool symmetric : {false, true}) {
+      Graph g(offsets, neighbors,
+              weighted ? weights : std::vector<weight_t>{}, symmetric);
+      ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+      for (auto* load : {&ReadBinaryGraph, &MapBinaryGraph}) {
+        auto result = (*load)(path);
+        ASSERT_TRUE(result.ok())
+            << "weighted " << weighted << " symmetric " << symmetric << ": "
+            << result.status().ToString();
+        ExpectGraphsEqual(result.ValueOrDie(), g);
+      }
+    }
+  }
+}
+
+// Every undefined flag bit is refused on its own and beside the defined
+// ones, and the message names only the undefined bits.
+TEST(BinaryFormat, RejectsEveryUndefinedFlagBit) {
+  Graph g = AddRandomWeights(RmatGraph(6, 400, 14), 2);
+  std::string path = TempPath("flag_bits.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  for (uint32_t bit = 2; bit < 32; ++bit) {
+    WriteWithEditedHeader(path, bytes, [&](BinaryGraphHeader& h) {
+      ASSERT_EQ(h.flags,
+                kBinaryGraphWeightedFlag | kBinaryGraphSymmetricFlag);
+      h.flags |= 1u << bit;
+    });
+    char named[16];
+    std::snprintf(named, sizeof(named), "0x%08x", 1u << bit);
+    ExpectBothLoadersReject(path, std::string("flags ") + named);
+  }
+}
+
+TEST(BinaryFormat, RejectsVersionZeroAndUnknownEndianTag) {
+  Graph g = RmatGraph(6, 400, 15);
+  std::string path = TempPath("version_tag.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+
+  WriteWithEditedHeader(path, bytes,
+                        [](BinaryGraphHeader& h) { h.version = 0; });
+  ExpectBothLoadersReject(path, "version 0");
+
+  // A tag that is neither native nor byte-swapped is not an endianness
+  // mismatch, so the message must not suggest re-converting.
+  WriteWithEditedHeader(path, bytes,
+                        [](BinaryGraphHeader& h) { h.endian_tag = 0; });
+  ExpectBothLoadersReject(path, "bad endian tag");
+}
+
+TEST(BinaryFormat, RejectsTypeWidthMismatch) {
+  Graph g = RmatGraph(6, 400, 16);
+  std::string path = TempPath("widths.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  // An image written with 8-byte vertex ids by a wider build.
+  WriteWithEditedHeader(path, ReadFileBytes(path), [](BinaryGraphHeader& h) {
+    h.type_widths = (h.type_widths & ~0xff00u) | (8u << 8);
+  });
+  ExpectBothLoadersReject(path, "type widths");
+}
+
+// Sections must start on the 64-byte grid past the header; the readers
+// index them as typed arrays, so a shifted start is refused, not read.
+TEST(BinaryFormat, RejectsMisalignedSections) {
+  Graph g = AddRandomWeights(RmatGraph(6, 400, 17), 3);
+  std::string path = TempPath("misaligned.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  WriteWithEditedHeader(path, bytes,
+                        [](BinaryGraphHeader& h) { h.offsets_start += 8; });
+  ExpectBothLoadersReject(path, "offsets section");
+  WriteWithEditedHeader(path, bytes,
+                        [](BinaryGraphHeader& h) { h.neighbors_start -= 4; });
+  ExpectBothLoadersReject(path, "neighbors section");
+  WriteWithEditedHeader(path, bytes,
+                        [](BinaryGraphHeader& h) { h.weights_start += 4; });
+  ExpectBothLoadersReject(path, "weights section");
+  // Inside the header is never a section.
+  WriteWithEditedHeader(path, bytes,
+                        [](BinaryGraphHeader& h) { h.offsets_start = 0; });
+  ExpectBothLoadersReject(path, "offsets section");
+}
+
+TEST(BinaryFormat, RejectsWeightsOffsetOnUnweightedImage) {
+  Graph g = RmatGraph(6, 400, 18);
+  std::string path = TempPath("stray_weights.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  WriteWithEditedHeader(path, ReadFileBytes(path), [](BinaryGraphHeader& h) {
+    ASSERT_EQ(h.weights_start, 0u);
+    h.weights_start = h.neighbors_start;  // aligned and in bounds
+  });
+  ExpectBothLoadersReject(path, "weights section offset");
+}
+
+// Setting the weighted bit on an unweighted image claims a weights
+// section the file does not have.
+TEST(BinaryFormat, RejectsWeightedFlagWithoutWeightsSection) {
+  Graph g = RmatGraph(6, 400, 19);
+  std::string path = TempPath("missing_weights.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  WriteWithEditedHeader(path, ReadFileBytes(path), [](BinaryGraphHeader& h) {
+    h.flags |= kBinaryGraphWeightedFlag;
+  });
+  ExpectBothLoadersReject(path, "weights section out of bounds");
+}
+
+// Header counts are checked against the file size before any section is
+// sized from them, including the n + 1 that would wrap to zero.
+TEST(BinaryFormat, RejectsCountsLargerThanTheFile) {
+  Graph g = RmatGraph(6, 400, 20);
+  std::string path = TempPath("counts.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  for (uint64_t n : {uint64_t{1} << 40, ~uint64_t{0}}) {
+    WriteWithEditedHeader(path, bytes,
+                          [&](BinaryGraphHeader& h) { h.num_vertices = n; });
+    ExpectBothLoadersReject(path, "vertex count too large");
+  }
+  WriteWithEditedHeader(path, bytes, [](BinaryGraphHeader& h) {
+    h.num_edges = uint64_t{1} << 40;
+  });
+  ExpectBothLoadersReject(path, "edge count too large");
+}
+
+TEST(BinaryFormat, RejectsOffsetsThatDoNotEndAtEdgeCount) {
+  Graph g = RmatGraph(6, 400, 21);
+  std::string path = TempPath("offsets_end.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  BinaryGraphHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  const uint64_t short_end = g.num_edges() - 1;
+  std::memcpy(bytes.data() + h.offsets_start +
+                  g.num_vertices() * sizeof(edge_offset),
+              &short_end, sizeof(short_end));
+  WriteFileBytes(path, bytes);
+  ExpectBothLoadersReject(path, "offsets[n] != m");
+}
+
+// A dip between two interior offsets, with offsets[0] and offsets[n]
+// intact, is caught only by the chunked monotonicity scan.
+TEST(BinaryFormat, RejectsDecreasingInteriorOffsets) {
+  Graph g = RmatGraph(6, 400, 22);
+  std::string path = TempPath("offsets_dip.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  BinaryGraphHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  const std::span<const edge_offset> offsets = g.raw_offsets();
+  vertex_id v = 1;
+  while (v < g.num_vertices() && offsets[v + 1] == offsets[v]) ++v;
+  ASSERT_LT(v, g.num_vertices());
+  const edge_offset above_next = offsets[v + 1] + 1;
+  std::memcpy(bytes.data() + h.offsets_start + v * sizeof(edge_offset),
+              &above_next, sizeof(above_next));
+  WriteFileBytes(path, bytes);
+  ExpectBothLoadersReject(path, "non-decreasing");
+}
+
+TEST(BinaryFormat, MissingFileIsIOError) {
+  for (auto* load : {&ReadBinaryGraph, &MapBinaryGraph}) {
+    auto loaded = (*load)(TempPath("no_such_image.bsadj"));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+    EXPECT_NE(loaded.status().ToString().find("cannot open"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(BinaryFormat, WriteIntoMissingDirectoryIsIOError) {
+  Graph g = RmatGraph(5, 100, 23);
+  Status written =
+      WriteBinaryGraph(g, TempPath("no_such_dir/image.bsadj"));
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kIOError);
+  EXPECT_NE(written.ToString().find("for writing"), std::string::npos)
+      << written.ToString();
+}
+
 TEST(BinaryFormat, DetectedByMagicRegardlessOfExtension) {
   Graph g = RmatGraph(6, 500, 1);
   std::string path = TempPath("magic.weird");
@@ -342,6 +560,36 @@ TEST(BinaryFormat, MappedRunsMatchTextRunsExactly) {
     EXPECT_TRUE(rb.graph_mapped);
     EXPECT_NE(rb.ToJson().find("\"graph_source\": \"mapped-nvram\""),
               std::string::npos);
+  }
+  Scheduler::Reset(0);
+}
+
+// Parallel rounds over the mapped image reproduce the in-memory graph's
+// one-worker summaries at every width, and never write NVRAM. The
+// summaries are order-insensitive aggregates (reached counts, component
+// counts, iteration counts).
+TEST(BinaryFormat, MappedRunsMatchAcrossWidths) {
+  Graph g = RmatGraph(10, 20000, 23);
+  std::string path = TempPath("widths.bsadj");
+  ASSERT_TRUE(WriteBinaryGraph(g, path).ok());
+  auto mapped = MapBinaryGraph(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  RunContext ctx;
+  for (const char* algo : {"bfs", "connectivity", "pagerank"}) {
+    Scheduler::Reset(1);
+    auto ref = AlgorithmRegistry::Run(algo, g, ctx);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    for (int width : {1, 2, 4}) {
+      Scheduler::Reset(width);
+      auto run = AlgorithmRegistry::Run(algo, mapped.ValueOrDie(), ctx);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run.ValueOrDie().summary, ref.ValueOrDie().summary)
+          << algo << " at width " << width;
+      EXPECT_GT(run.ValueOrDie().cost.nvram_reads, 0u) << algo;
+      EXPECT_EQ(run.ValueOrDie().cost.nvram_writes, 0u)
+          << algo << " at width " << width;
+    }
   }
   Scheduler::Reset(0);
 }

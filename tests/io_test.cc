@@ -255,6 +255,20 @@ TEST(FormatDetection, BinaryMagicWinsOverTextSniffing) {
   EXPECT_EQ(fmt_ext.ValueOrDie(), GraphFileFormat::kBinaryCsr);
 }
 
+// The retired multi-shard manifest header is text like any other, and no
+// reader knows it.
+constexpr char kRetiredManifest[] =
+    "BSADJX 1\nn 4 m 6 weighted 0 symmetric 1 shards 1\n"
+    "shard 0 4 0 6 0 64 g.shard0.bsadj\n";
+
+TEST(FormatDetection, RetiredManifestHeaderIsUnknown) {
+  std::string path = TempPath("retired_manifest.idx");
+  WriteFile(path, kRetiredManifest);
+  auto fmt = DetectGraphFormat(path);
+  ASSERT_TRUE(fmt.ok());
+  EXPECT_EQ(fmt.ValueOrDie(), GraphFileFormat::kUnknown);
+}
+
 TEST(IOErrorPaths, UnreadableInputIsIOErrorNotShortFile) {
   // A directory opens but cannot be fread (EISDIR): every reader must
   // report IOError with the errno context, never treat the failed read as
@@ -332,6 +346,17 @@ TEST(ReadGraphAuto, ForceWeightedOverridesColumnSniffing) {
                                 /*force_weighted=*/true);
   ASSERT_TRUE(weighted.ok());
   EXPECT_TRUE(weighted.ValueOrDie().weighted());
+}
+
+TEST(ReadGraphAuto, RefusesRetiredManifest) {
+  std::string path = TempPath("retired_manifest_load.idx");
+  WriteFile(path, kRetiredManifest);
+  auto loaded = ReadGraphAuto(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("cannot determine graph format"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 }  // namespace

@@ -211,6 +211,31 @@ TEST(ChargeRoute, SetterBetweenChargesReroutesTheNextCharge) {
   EXPECT_EQ(cm.Totals().nvram_writes, 1u);
 }
 
+// Under a NUMA layout only NVRAM reads pay the per-call remote check, of
+// graph and working memory alike; NVRAM writes stay on the fast route and
+// never count a remote access.
+TEST(ChargeRoute, NumaLayoutChargesRemoteReadsButNeverWrites) {
+  ExecutionContext ctx;
+  ScopedExecutionContext bind(ctx);
+  CostModel& cm = ctx.cost_model();
+  cm.SetAllocPolicy(AllocPolicy::kAllNvram);
+  cm.SetGraphLayout(GraphLayout::kInterleaved);
+  // Line 1 lives on socket 1, the main thread on socket 0.
+  const uint64_t line1 = cm.config().memory_mode_line_words;
+  Cost().ChargeGraphWrite(3, line1);
+  Cost().ChargeWorkWrite(4, line1);
+  EXPECT_EQ(cm.Totals().nvram_writes, 7u);
+  EXPECT_EQ(cm.Totals().remote_nvram_accesses, 0u);
+  Cost().ChargeGraphRead(2, line1);
+  Cost().ChargeWorkRead(5, line1);
+  EXPECT_EQ(cm.Totals().nvram_reads, 7u);
+  EXPECT_EQ(cm.Totals().remote_nvram_accesses, 7u);
+  // The socket-local line is charged without a remote access.
+  Cost().ChargeWorkRead(1, 0);
+  EXPECT_EQ(cm.Totals().nvram_reads, 8u);
+  EXPECT_EQ(cm.Totals().remote_nvram_accesses, 7u);
+}
+
 TEST(ChargeRoute, ModelBuiltWhereOneDiedStartsFromItsOwnDefaultRoute) {
   alignas(ExecutionContext) unsigned char storage[sizeof(ExecutionContext)];
   // Charged from every worker, so a route remembered by any thread for
