@@ -13,9 +13,13 @@
 //                    updates_per_sec of the overlapped phase.
 //   compact          wall = folding the accumulated overlay into a fresh
 //                    in-memory base; metric edges_per_sec of the rewrite.
+//   overlay bfs      wall = one width-1 bfs over the epoch four batches
+//                    leave (update-mix's bfs misses run over such epochs,
+//                    compacted every four batches); carries that run's
+//                    PSAM counters.
 //
-// Rows report throughput, not per-run device traffic, so they carry no
-// PSAM counters (each query charges its own run context; cf.
+// The other rows report throughput, not per-run device traffic, so they
+// carry no PSAM counters (each query charges its own run context; cf.
 // bench_concurrent_queries.cc).
 #include <future>
 #include <string>
@@ -175,6 +179,26 @@ SAGE_BENCHMARK(update_throughput,
     ctx.Report(r);
     ctx.NoteF("compact: merged %llu directed edges in %.4fs median",
               static_cast<unsigned long long>(merged_edges), r.wall.median);
+  }
+
+  // --- overlay bfs: a kernel miss over an updated epoch -----------------
+  {
+    constexpr int kOverlayBatches = 4;
+    Engine engine(in.graph);
+    for (int b = 0; b < kOverlayBatches; ++b) {
+      SAGE_CHECK(engine.ApplyUpdates(batches[b]).ok());
+    }
+    const Graph epoch = engine.graph();
+    BenchRecord r = ctx.MeasureAlgorithm("overlay bfs", "bfs", epoch, epoch,
+                                         RunContext::Current());
+    r.AddConfig("batches", std::to_string(kOverlayBatches));
+    r.AddConfig("batch_size", std::to_string(kPerBatch));
+    r.AddMetric("overlay_edges", static_cast<double>(epoch.delta_edges()));
+    ctx.Report(r);
+    ctx.NoteF("overlay bfs: %.4fs median over an epoch of %llu overlaid "
+              "edge slots",
+              r.wall.median,
+              static_cast<unsigned long long>(epoch.delta_edges()));
   }
 
   Scheduler::Reset(entry_workers);

@@ -143,14 +143,11 @@ LddResult LowDiameterDecomposition(const GraphT& g, double beta,
   auto frontier = VertexSubset::Empty(n);
   for (uint32_t round = 0;; ++round) {
     // Phase A: expansion bids from the previous round's frontier.
-    std::vector<vertex_id> claimed;
-    if (!frontier.IsEmpty()) {
-      auto next = EdgeMap(g, frontier, claim, opts);
-      next.ToSparse();
-      claimed = next.ids();
-    }
+    auto expanded = frontier.IsEmpty() ? VertexSubset::Empty(n)
+                                       : EdgeMap(g, frontier, claim, opts);
     // Phase B: center bids - unclaimed vertices whose start time arrived
     // compete with this round's expansion bids via the same write-min.
+    std::vector<vertex_id> centers;
     if (round < max_round) {
       for (size_t i = round_offsets[round]; i < round_offsets[round + 1];
            ++i) {
@@ -162,15 +159,20 @@ LddResult LowDiameterDecomposition(const GraphT& g, double beta,
         uint8_t expected = 0;
         if (tagged[v].compare_exchange_strong(expected, 1,
                                               std::memory_order_relaxed)) {
-          claimed.push_back(v);
+          centers.push_back(v);
         }
       }
     }
-    if (claimed.empty()) {
+    if (expanded.IsEmpty() && centers.empty()) {
       if (round >= max_round) break;
       frontier = VertexSubset::Empty(n);
       continue;
     }
+    // The claimed vertices are the next frontier, which keeps the degree
+    // sum a dense expansion round handed over.
+    auto next =
+        internal::RoundHandover::Extend(g, std::move(expanded), centers);
+    const std::vector<vertex_id>& claimed = next.ids();
     // Phase C: finalize winners; set cluster, level, and a tree parent.
     parallel_for(0, claimed.size(), [&](size_t i) {
       vertex_id v = claimed[i];
@@ -193,7 +195,7 @@ LddResult LowDiameterDecomposition(const GraphT& g, double beta,
       SAGE_DCHECK(parent[v] != kNoVertex);
     });
     nvram::Cost().ChargeWorkWrite(2 * claimed.size());
-    frontier = VertexSubset::Sparse(n, std::move(claimed));
+    frontier = std::move(next);
   }
 
   LddResult result;

@@ -28,6 +28,13 @@
 // returns true at most once per target per round, so each next-round flag
 // has a single writer. Functors that declare nothing keep the pull round.
 //
+// A round hands the next one its frontier's size and degree sum when it can:
+// a pull round counts the vertices it activates and sums their out-degrees
+// per task while it traverses, charging each degree read there, so the next
+// round over the same graph object skips FrontierDegree's pass over the
+// subset. FrontierDegree serves only subsets built elsewhere (Single, bucket
+// extractions, caller-built ids, dense-forward and sparse outputs).
+//
 // All variants charge the PSAM cost model: graph reads through the Graph
 // accessors, DRAM traffic for frontier flags and outputs, and report
 // intermediate allocations to the MemoryTracker (Table 5 of the paper).
@@ -38,6 +45,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/chunk_pool.h"
@@ -105,8 +113,8 @@ constexpr bool NoEarlyExit() {
   }
 }
 
-/// Sum of out-degrees over the frontier (charges the offset reads, summed
-/// per block by reduce's charge batches).
+/// Sum of out-degrees over a frontier no round handed over (charges the
+/// offset reads, summed per block by reduce's charge batches).
 template <typename GraphT>
 uint64_t FrontierDegree(const GraphT& g, const VertexSubset& frontier) {
   if (frontier.is_dense()) {
@@ -120,8 +128,62 @@ uint64_t FrontierDegree(const GraphT& g, const VertexSubset& frontier) {
                               [&](size_t i) { return g.degree(ids[i]); });
 }
 
+/// FrontierDegree with neither charges nor a parallel pass, for debug
+/// checks: a charged check would move a Debug build's counters.
+template <typename GraphT>
+uint64_t FrontierDegreeUncharged(const GraphT& g,
+                                 const VertexSubset& frontier) {
+  uint64_t sum = 0;
+  if (frontier.is_dense()) {
+    const auto& flags = frontier.flags();
+    for (size_t v = 0; v < flags.size(); ++v) {
+      if (flags[v]) sum += g.degree_uncharged(static_cast<vertex_id>(v));
+    }
+  } else {
+    for (vertex_id v : frontier.ids()) sum += g.degree_uncharged(v);
+  }
+  return sum;
+}
+
+/// The one writer of a subset's carried degree sum (VertexSubset's friend).
+struct RoundHandover {
+  /// A dense round's output over g, with the degree sum its tasks charged.
+  template <typename GraphT>
+  static VertexSubset Dense(const GraphT& g, std::vector<uint8_t> flags,
+                            size_t count, uint64_t degree) {
+    VertexSubset out =
+        VertexSubset::Dense(g.num_vertices(), std::move(flags), count);
+    out.degree_graph_ = &g;
+    out.degree_sum_ = degree;
+    return out;
+  }
+
+  /// `subset`'s members followed by `extra` (ids not in it), sparse. A sum
+  /// `subset` carries over g carries on, plus the extras' degrees, charged
+  /// here as FrontierDegree would charge them, so a caller that adds to a
+  /// round's output before handing it on pays each degree read once.
+  template <typename GraphT>
+  static VertexSubset Extend(const GraphT& g, VertexSubset subset,
+                             const std::vector<vertex_id>& extra) {
+    const std::optional<uint64_t> carried = subset.CarriedDegree(g);
+    subset.ToSparse();
+    std::vector<vertex_id> ids = std::move(subset.ids_);
+    ids.insert(ids.end(), extra.begin(), extra.end());
+    VertexSubset out = VertexSubset::Sparse(g.num_vertices(), std::move(ids));
+    if (carried) {
+      uint64_t degree = *carried;
+      for (vertex_id v : extra) degree += g.degree(v);
+      out.degree_graph_ = &g;
+      out.degree_sum_ = degree;
+    }
+    return out;
+  }
+};
+
 /// Dense (pull) traversal: for every vertex v with cond(v), scan neighbors
-/// until an update succeeds or cond(v) becomes false.
+/// until an update succeeds or cond(v) becomes false. Each task counts the
+/// vertices it activates and sums their degrees, so the output carries its
+/// size and degree sum without a pass over n.
 template <typename GraphT, typename F>
 VertexSubset EdgeMapDense(const GraphT& g, const VertexSubset& frontier,
                           F& f) {
@@ -129,22 +191,38 @@ VertexSubset EdgeMapDense(const GraphT& g, const VertexSubset& frontier,
   auto& cm = nvram::Cost();
   const auto& in_frontier = frontier.flags();
   std::vector<uint8_t> next(n, 0);
-  parallel_for_batched(0, n, [&](size_t vi) {
-    vertex_id v = static_cast<vertex_id>(vi);
-    if (!f.cond(v)) return;
-    uint64_t examined = 0;
-    g.MapNeighborsWhile(v, [&](vertex_id, vertex_id u, weight_t w) {
-      ++examined;
-      if (in_frontier[u] && f.update(u, v, w)) next[vi] = 1;
-      return f.cond(v);
-    });
-    // Frontier-flag probes are DRAM work reads; one write if v activated.
-    cm.ChargeWorkRead(examined, u64(vi));
+  std::atomic<size_t> count{0};
+  std::atomic<uint64_t> degree{0};
+  parallel_for_ranges(0, n, [&](size_t lo, size_t hi) {
+    nvram::ChargeBatch batch(cm);
+    size_t task_count = 0;
+    uint64_t task_degree = 0;
+    for (size_t vi = lo; vi < hi; ++vi) {
+      vertex_id v = static_cast<vertex_id>(vi);
+      if (!f.cond(v)) continue;
+      uint64_t examined = 0;
+      bool activated = false;
+      g.MapNeighborsWhile(v, [&](vertex_id, vertex_id u, weight_t w) {
+        ++examined;
+        if (in_frontier[u] && f.update(u, v, w)) activated = true;
+        return f.cond(v);
+      });
+      // Frontier-flag probes are DRAM work reads.
+      cm.ChargeWorkRead(examined, u64(vi));
+      if (activated) {
+        next[vi] = 1;
+        ++task_count;
+        // The next round's frontier-degree read, charged here: the same
+        // word, kind and hint FrontierDegree would charge.
+        task_degree += g.degree(v);
+      }
+    }
+    count.fetch_add(task_count, std::memory_order_relaxed);
+    degree.fetch_add(task_degree, std::memory_order_relaxed);
   });
   cm.ChargeWorkWrite(n / 8 + 1);  // output flag array, word-granular
-  size_t count =
-      reduce_add<size_t>(n, [&](size_t v) { return next[v] ? 1 : 0; });
-  return VertexSubset::Dense(n, std::move(next), count);
+  return RoundHandover::Dense(g, std::move(next), count.load(),
+                              degree.load());
 }
 
 /// Dense-forward traversal (functors with kNoEarlyExit): push along the
@@ -158,19 +236,27 @@ VertexSubset EdgeMapDenseForward(const GraphT& g, const VertexSubset& frontier,
   auto& cm = nvram::Cost();
   const auto& ids = frontier.ids();
   std::vector<uint8_t> next(n, 0);
-  parallel_for_batched(0, ids.size(), [&](size_t i) {
-    const vertex_id u = ids[i];
-    uint64_t examined = 0;
-    g.MapNeighbors(u, [&](vertex_id, vertex_id v, weight_t w) {
-      ++examined;
-      if (f.cond(v) && f.updateAtomic(u, v, w)) next[v] = 1;
-    });
-    cm.ChargeWorkRead(examined, u64(u));  // cond probes
+  // A flag's single writer counts it, so per-task counts sum to the size.
+  std::atomic<size_t> count{0};
+  parallel_for_ranges(0, ids.size(), [&](size_t lo, size_t hi) {
+    nvram::ChargeBatch batch(cm);
+    size_t task_count = 0;
+    for (size_t i = lo; i < hi; ++i) {
+      const vertex_id u = ids[i];
+      uint64_t examined = 0;
+      g.MapNeighbors(u, [&](vertex_id, vertex_id v, weight_t w) {
+        ++examined;
+        if (f.cond(v) && f.updateAtomic(u, v, w)) {
+          next[v] = 1;
+          ++task_count;
+        }
+      });
+      cm.ChargeWorkRead(examined, u64(u));  // cond probes
+    }
+    count.fetch_add(task_count, std::memory_order_relaxed);
   });
   cm.ChargeWorkWrite(n / 8 + 1);  // output flag array, word-granular
-  size_t count =
-      reduce_add<size_t>(n, [&](size_t v) { return next[v] ? 1 : 0; });
-  return VertexSubset::Dense(n, std::move(next), count);
+  return VertexSubset::Dense(n, std::move(next), count.load());
 }
 
 /// Ligra-style sparse traversal: one output slot per incident edge.
@@ -422,7 +508,10 @@ VertexSubset EdgeMap(const GraphT& g, VertexSubset& frontier, F f,
   const nvram::ExecutionContext& exec = nvram::ExecutionContext::Current();
   exec.CheckInterrupt();
   if (frontier.IsEmpty()) return VertexSubset::Empty(g.num_vertices());
-  uint64_t deg = internal::FrontierDegree(g, frontier);
+  const std::optional<uint64_t> carried = frontier.CarriedDegree(g);
+  const uint64_t deg =
+      carried ? *carried : internal::FrontierDegree(g, frontier);
+  SAGE_DCHECK(deg == internal::FrontierDegreeUncharged(g, frontier));
   const uint64_t m = g.num_edges();
   constexpr uint64_t den = internal::kDenseThresholdDen;
   const uint64_t threshold = std::max<uint64_t>(m / den, 1);

@@ -7,9 +7,14 @@
 // All conversions are parallel. DRAM footprint is reported to the
 // MemoryTracker: a subset is O(n) words in the worst case, part of the
 // PSAM's small-memory budget.
+//
+// A subset built by a dense edgeMap round also carries its members' degree
+// sum in the graph that round traversed, so the next round needs no pass
+// over the subset to choose its direction (core/edge_map.h).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -20,6 +25,10 @@
 #include "parallel/primitives.h"
 
 namespace sage {
+
+namespace internal {
+struct RoundHandover;  // core/edge_map.h: the one writer of a carried sum
+}  // namespace internal
 
 /// A subset of the vertices of an n-vertex graph.
 class VertexSubset {
@@ -119,6 +128,15 @@ class VertexSubset {
     return flags_;
   }
 
+  /// The members' out-degree sum in `g`, when the edgeMap round that built
+  /// this subset traversed that same graph object; nullopt otherwise.
+  /// Conversions keep it, since they keep the members.
+  template <typename GraphT>
+  std::optional<uint64_t> CarriedDegree(const GraphT& g) const {
+    if (degree_graph_ != static_cast<const void*>(&g)) return std::nullopt;
+    return degree_sum_;
+  }
+
   /// Bytes of DRAM this subset currently occupies.
   size_t MemoryBytes() const {
     return dense_ ? flags_.size() : ids_.size() * sizeof(vertex_id);
@@ -141,12 +159,17 @@ class VertexSubset {
 
   void ReportMemory() { tracked_.Resize(MemoryBytes()); }
 
+  friend struct internal::RoundHandover;
+
   vertex_id n_;
   bool dense_;
   size_t size_;
   std::vector<vertex_id> ids_;
   std::vector<uint8_t> flags_;
   nvram::TrackedAllocation tracked_;
+  /// The graph object degree_sum_ was summed over; nullptr when none was.
+  const void* degree_graph_ = nullptr;
+  uint64_t degree_sum_ = 0;
 };
 
 }  // namespace sage

@@ -2,18 +2,26 @@
 // must compute identical BFS level sets; direction optimization must agree
 // with forced modes; edgeMapChunked must stay within O(n) intermediate
 // memory while edgeMapSparse/Blocked use Theta(sum deg) (Table 5); dense
-// rounds of no-early-exit functors read only the frontier's lists.
+// rounds of no-early-exit functors read only the frontier's lists; a pull
+// round hands the next round its frontier's degree sum, having charged each
+// member's degree read itself.
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algorithms/bellman_ford.h"
+#include "common/random.h"
 #include "core/chunk_pool.h"
 #include "core/edge_map.h"
+#include "graph/binary_format.h"
 #include "graph/compressed_graph.h"
+#include "graph/delta.h"
 #include "graph/generators.h"
 
 namespace sage {
@@ -312,6 +320,217 @@ TEST(EdgeMapCosts, TraversalNeverWritesNvram) {
   auto t = cm.Totals();
   EXPECT_EQ(t.nvram_writes, 0u);
   EXPECT_GT(t.nvram_reads, 0u);
+}
+
+// --- Degree handover -------------------------------------------------------
+// A pull round counts and degree-sums what it activates, charging each
+// member's degree read as FrontierDegree would; the next round over the
+// same graph object uses that sum instead of a pass over the subset.
+
+/// True when v's list lives in g's delta overlay (a DRAM copy).
+bool Overlaid(const Graph& g, vertex_id v) {
+  const DeltaOverlay* overlay = g.storage()->delta_overlay();
+  if (overlay == nullptr) return false;
+  return ((internal_overlay::TouchedBits(*overlay)[v >> 6] >> (v & 63)) & 1) !=
+         0;
+}
+
+/// Expected charges of one BFS pull round, modeled vertex by vertex: the
+/// input frontier's degree sum (FrontierDegree over its ids), the scan of
+/// every unvisited vertex's list up to its first frontier neighbor, and
+/// one degree read per activated vertex. Lists and degrees are graph reads
+/// (NVRAM under kGraphNvram), or DRAM work reads when overlaid.
+nvram::CostTotals ModelPullRound(
+    const Graph& g, const std::vector<vertex_id>& input,
+    const std::vector<std::atomic<vertex_id>>& parents) {
+  const vertex_id n = g.num_vertices();
+  std::vector<bool> in_frontier(n, false);
+  nvram::CostTotals t;
+  t.dram_reads += input.size();  // reduce over the ids
+  for (vertex_id u : input) {
+    in_frontier[u] = true;
+    (Overlaid(g, u) ? t.dram_reads : t.nvram_reads) += 1;
+  }
+  const uint64_t per_edge = g.weighted() ? 2 : 1;
+  for (vertex_id v = 0; v < n; ++v) {
+    if (parents[v].load() != kNoVertex) continue;
+    const auto nbrs = g.NeighborsUncharged(v);
+    const bool overlaid = Overlaid(g, v);
+    (overlaid ? t.dram_reads : t.nvram_reads) += 1 + per_edge * nbrs.size();
+    auto hit = std::find_if(nbrs.begin(), nbrs.end(),
+                            [&](vertex_id u) { return in_frontier[u]; });
+    t.dram_reads += hit == nbrs.end() ? nbrs.size() : hit - nbrs.begin() + 1;
+    if (hit != nbrs.end()) (overlaid ? t.dram_reads : t.nvram_reads) += 1;
+  }
+  t.dram_writes += n / 8 + 1;  // the output flags
+  return t;
+}
+
+std::vector<vertex_id> SortedIds(VertexSubset& s) {
+  s.ToSparse();
+  std::vector<vertex_id> ids = s.ids();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void ExpectReadsEq(const nvram::CostTotals& a, const nvram::CostTotals& b,
+                   const char* what) {
+  EXPECT_EQ(a.dram_reads, b.dram_reads) << what;
+  EXPECT_EQ(a.dram_writes, b.dram_writes) << what;
+  EXPECT_EQ(a.nvram_reads, b.nvram_reads) << what;
+  EXPECT_EQ(a.nvram_writes, b.nvram_writes) << what;
+}
+
+/// Runs BFS from src until the first pull round and checks its handover:
+/// the modeled charges, the carried sum against an uncharged recount, and
+/// that the next round from the carrying subset matches a round from a
+/// copy rebuilt from its ids, whose only extra charge is FrontierDegree.
+/// Returns how many of the pull round's members are overlaid.
+size_t CheckFirstPullRoundHandover(const Graph& g, vertex_id src) {
+  auto& cm = nvram::Cost();
+  cm.SetAllocPolicy(nvram::AllocPolicy::kGraphNvram);
+  const vertex_id n = g.num_vertices();
+  std::vector<std::atomic<vertex_id>> parents(n);
+  for (auto& p : parents) p.store(kNoVertex);
+  parents[src].store(src);
+  auto frontier = VertexSubset::Single(n, src);
+  for (;;) {
+    if (frontier.IsEmpty()) {
+      ADD_FAILURE() << "no round went dense";
+      return 0;
+    }
+    EXPECT_FALSE(frontier.CarriedDegree(g).has_value());
+    frontier.ToSparse();
+    const nvram::CostTotals model = ModelPullRound(g, frontier.ids(), parents);
+    nvram::CostScope produced;
+    auto next = EdgeMap(g, frontier, BfsFunctor{parents});
+    const nvram::CostTotals produced_charges = produced.Delta();
+    if (!next.is_dense()) {
+      frontier = std::move(next);
+      continue;
+    }
+
+    // The pull round charged the modeled words, its members' degree reads
+    // included, and carries the sum an uncharged recount finds.
+    ExpectReadsEq(produced_charges, model, "pull round vs. model");
+    const auto carried = next.CarriedDegree(g);
+    EXPECT_TRUE(carried.has_value());
+    uint64_t recount = 0;
+    size_t members = 0, overlaid = 0;
+    for (vertex_id v = 0; v < n; ++v) {
+      if (!next.Contains(v)) continue;
+      recount += g.degree_uncharged(v);
+      ++members;
+      overlaid += Overlaid(g, v) ? 1 : 0;
+    }
+    EXPECT_EQ(carried.value_or(0), recount);
+    EXPECT_EQ(next.size(), members);
+
+    // The next round from the carrying subset and from a rebuilt copy.
+    auto rebuilt = VertexSubset::Sparse(n, SortedIds(next));
+    EXPECT_EQ(next.CarriedDegree(g), carried);  // conversions keep it
+    EXPECT_FALSE(rebuilt.CarriedDegree(g).has_value());
+    next.ToDense();
+    rebuilt.ToDense();
+    std::vector<std::atomic<vertex_id>> parents_b(n);
+    for (vertex_id v = 0; v < n; ++v) parents_b[v].store(parents[v].load());
+
+    nvram::CostScope carried_scope;
+    auto out_a = EdgeMap(g, next, BfsFunctor{parents});
+    const nvram::CostTotals charges_a = carried_scope.Delta();
+    nvram::CostScope degree_scope;
+    EXPECT_EQ(internal::FrontierDegree(g, rebuilt), recount);
+    const nvram::CostTotals degree_charges = degree_scope.Delta();
+    nvram::CostScope rebuilt_scope;
+    auto out_b = EdgeMap(g, rebuilt, BfsFunctor{parents_b});
+    const nvram::CostTotals charges_b = rebuilt_scope.Delta();
+
+    EXPECT_EQ(SortedIds(out_a), SortedIds(out_b));
+    ExpectReadsEq(charges_a, charges_b - degree_charges,
+                  "carrying round vs. rebuilt round less FrontierDegree");
+    // FrontierDegree's words are the ones the pull round charged: one graph
+    // read per base member, one DRAM work read per overlaid member.
+    EXPECT_EQ(degree_charges.nvram_reads, members - overlaid);
+    EXPECT_EQ(degree_charges.dram_reads, n + overlaid);  // reduce over flags
+    return overlaid;
+  }
+}
+
+TEST(EdgeMapHandover, RmatGraph) {
+  Graph g = RmatGraph(11, 30000, 4);
+  CheckFirstPullRoundHandover(g, 3);
+}
+
+TEST(EdgeMapHandover, MappedImage) {
+  const std::string path = ::testing::TempDir() + "/edge_map_handover.bsadj";
+  ASSERT_TRUE(WriteBinaryGraph(RmatGraph(11, 30000, 4), path).ok());
+  auto mapped = MapBinaryGraph(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(mapped.ValueOrDie().nvram_resident());
+  CheckFirstPullRoundHandover(mapped.ValueOrDie(), 3);
+  std::remove(path.c_str());
+}
+
+TEST(EdgeMapHandover, OverlayEpochWithTouchedMembers) {
+  const std::string path = ::testing::TempDir() + "/edge_map_overlay.bsadj";
+  ASSERT_TRUE(WriteBinaryGraph(RmatGraph(11, 30000, 4), path).ok());
+  auto mapped = MapBinaryGraph(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  const Graph& base = mapped.ValueOrDie();
+  Random rng(29);
+  std::vector<EdgeUpdate> updates;
+  for (uint64_t i = 0; i < 512; ++i) {
+    updates.push_back(EdgeUpdate::Insert(
+        static_cast<vertex_id>(rng.ith_rand(2 * i) % base.num_vertices()),
+        static_cast<vertex_id>(rng.ith_rand(2 * i + 1) %
+                               base.num_vertices())));
+  }
+  auto overlay = ApplyUpdateBatch(base, nullptr, updates);
+  ASSERT_TRUE(overlay.ok()) << overlay.status().ToString();
+  const Graph epoch = MakeOverlayGraph(base, overlay.ValueOrDie());
+  EXPECT_GT(CheckFirstPullRoundHandover(epoch, 3), 0u);
+  std::remove(path.c_str());
+}
+
+// A sum carried over one graph object is not used for another, even one
+// with the same lists: EdgeMap charges FrontierDegree there instead.
+TEST(EdgeMapHandover, SumIsTiedToTheGraphObject) {
+  Graph g = CompleteGraph(64);
+  Graph copy = g;
+  std::vector<std::atomic<vertex_id>> parents(64);
+  for (auto& p : parents) p.store(kNoVertex);
+  std::vector<vertex_id> half;
+  for (vertex_id v = 0; v < 32; ++v) {
+    parents[v].store(v);
+    half.push_back(v);
+  }
+  auto frontier = VertexSubset::Sparse(64, std::move(half));
+  auto next = EdgeMap(g, frontier, BfsFunctor{parents});
+  ASSERT_TRUE(next.is_dense());
+  EXPECT_EQ(next.CarriedDegree(g), uint64_t{32 * 63});
+  EXPECT_FALSE(next.CarriedDegree(copy).has_value());
+}
+
+// Extend keeps a carried sum and adds the extras' degrees; a subset that
+// carries none gains none.
+TEST(EdgeMapHandover, ExtendKeepsTheCarriedSum) {
+  Graph g = StarGraph(100);  // vertex 0 is the hub
+  std::vector<std::atomic<vertex_id>> parents(100);
+  for (auto& p : parents) p.store(kNoVertex);
+  parents[0].store(0);
+  auto hub = VertexSubset::Single(100, 0);
+  EdgeMapOptions dense;
+  dense.mode = TraversalMode::kDenseOnly;
+  auto leaves = EdgeMap(g, hub, BfsFunctor{parents}, dense);
+  ASSERT_EQ(leaves.CarriedDegree(g), uint64_t{99});
+  auto leaves_and_hub =
+      internal::RoundHandover::Extend(g, std::move(leaves), {0});
+  EXPECT_EQ(leaves_and_hub.size(), 100u);
+  EXPECT_EQ(leaves_and_hub.CarriedDegree(g), uint64_t{99 + 99});
+  auto plain = internal::RoundHandover::Extend(
+      g, VertexSubset::Single(100, 1), {2});
+  EXPECT_EQ(plain.size(), 2u);
+  EXPECT_FALSE(plain.CarriedDegree(g).has_value());
 }
 
 TEST(ChunkPool, PoolsAreKeyedByCapacity) {
